@@ -23,7 +23,6 @@ from .errors import (
     MethodDisagreement,
     NegPosMismatch,
     NoLeastElement,
-    NotAChain,
     NotAPartialOrder,
     NotAnEmbedding,
     NotCauchy,

@@ -36,7 +36,6 @@ from .relations import (
     intersect,
     inverse_image,
     is_admissible,
-    is_rel_morphism,
     rel_morphism_witness,
     total_rel,
 )
@@ -137,7 +136,7 @@ def build_chain(f: FunctorExpr, depth: int, caps: Caps = DEFAULT_CAPS) -> Domain
             levels.append(eval_obj(f, levels[-1], levels[-1], caps))
         except SizeCapExceeded as exc:
             raise SizeCapExceeded(
-                f"level {i + 1} of the chain exceeds the size caps: {exc}",
+                f"level {i + 1} of the chain exceeds the size caps: {exc.message}",
                 level=i + 1,
                 functor=to_src(f),
                 **exc.details,
@@ -236,7 +235,7 @@ class RelFamily:
         return len(self.rels)
 
     def __repr__(self) -> str:
-        return f"<RelFamily {[len(r.pairs) for r in self.rels]} pairs by level>"
+        return f"<RelFamily {[len(r) for r in self.rels]} pairs by level>"
 
 
 def make_family(chain: DomainChain, rels) -> RelFamily:
@@ -288,10 +287,10 @@ def glue_family(chain: DomainChain, fam: RelFamily) -> BinRel:
         [inverse_image(chain.cum(m).p, fam[m]) for m in range(chain.depth + 1)],
         top,
     )
-    union: set = set()
+    union = 0
     for m in range(chain.depth + 1):
-        union.update(direct_image(chain.cum(m).e, fam[m]).pairs)
-    via_e = BinRel(top, frozenset(union))
+        union |= direct_image(chain.cum(m).e, fam[m]).mask
+    via_e = BinRel(top, union)
     if via_p != via_e:
         only_p = sorted(via_p.pairs - via_e.pairs)
         only_e = sorted(via_e.pairs - via_p.pairs)

@@ -22,7 +22,7 @@ import sys
 import time
 
 from .chain import build_chain, truncation_projections
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps
 from .dsl import parse_poset_literal, parse_spec
 from .engines import (
     compare_methods,
@@ -117,6 +117,9 @@ def _load_spec(args):
     if depth is None:
         print("relfix: no depth given (spec or --depth)", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    if depth < 0:
+        print(f"relfix: depth must be nonnegative, got {depth}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     caps = spec.effective_caps()
     if getattr(args, "max_size", None) is not None:
         caps = Caps(max_elements=args.max_size, max_pairs=caps.max_pairs)
@@ -141,13 +144,12 @@ def cmd_solve(args) -> int:
             path = os.path.join(args.emit_dot, f"X_{i}.dot")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(level.to_dot(name=f"X_{i}"))
-    checks = verification["checks"] if isinstance(verification, dict) else verification
     result = {
         "domain": spec.domain_name,
         "depth": depth,
         "sizes": [p.n for p in chain.levels],
         "pi_tables": [list(pi.table) for pi in pis],
-        "verification": checks,
+        "verification": verification["checks"],
     }
     if args.timings:
         print(f"solve: {time.monotonic() - t0:.3f}s", file=sys.stderr)

@@ -62,11 +62,12 @@ from .functor import (
 from .poset import FinPoset
 from .relations import (
     BinRel,
+    bottom_index,
     direct_image,
     intersect,
     inverse_image,
     is_rel_morphism,
-    rel_from_pairs,
+    pair_table,
     total_rel,
 )
 
@@ -82,8 +83,6 @@ __all__ = [
     "uniform_space_size",
     "enumerate_uniform_masks",
     "sample_uniform_masks",
-    "mask_to_rel",
-    "rel_to_mask",
     "family_from_mask",
     "is_linear",
     "check_contractive",
@@ -266,21 +265,18 @@ def cofe_limit(chain: DomainChain, seq: CauchySeq) -> RelFamily:
 # tree products.
 
 
-def _pair_forest(carrier: FinPoset, pi_tables: list) -> tuple:
-    """Parent index per pair (ancestry forest) and the root pair index."""
-    k = carrier.n
-    root = carrier.bottom * k + carrier.bottom
-    parent = [None] * (k * k)
-    for x in range(k):
-        for y in range(k):
-            q = x * k + y
-            if q == root:
-                continue
-            for t in reversed(pi_tables):
-                a = t[x] * k + t[y]
-                if a != q:
-                    parent[q] = a
-                    break
+def _pair_forest(carrier: FinPoset, pis: list) -> tuple:
+    """Parent bit per pair bit (ancestry forest) and the root bit."""
+    root = bottom_index(carrier)
+    images = [pair_table(pi).index for pi in reversed(pis)]
+    parent = [None] * (carrier.n * carrier.n)
+    for q in range(len(parent)):
+        if q == root:
+            continue
+        for img in images:
+            if img[q] != q:
+                parent[q] = img[q]
+                break
     return parent, root
 
 
@@ -292,28 +288,27 @@ def _forest_children(parent: list, root: int) -> dict:
     return children
 
 
-def _count_downsets(children: dict, root: int) -> int:
-    def ways(node: int) -> int:
-        w = 1
-        for c in children[node]:
-            w *= ways(c)
-        return 1 + w
-
-    total = 1
-    for c in children[root]:
-        total *= ways(c)
-    return total
+def _ways(children: dict, node: int) -> int:
+    """Downsets of the subtree at node, the empty one included."""
+    w = 1
+    for c in children[node]:
+        w *= _ways(children, c)
+    return 1 + w
 
 
 def _level_pis(chain: DomainChain, level: int) -> list:
-    return [chain.level_pi(j, level).table for j in range(level + 1)]
+    return [chain.level_pi(j, level) for j in range(level + 1)]
 
 
 def uniform_space_size(chain: DomainChain, level: int | None = None) -> int:
     """Exact number of uniform admissible relations on X_level."""
     level = chain.depth if level is None else level
     parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
-    return _count_downsets(_forest_children(parent, root), root)
+    children = _forest_children(parent, root)
+    total = 1
+    for c in children[root]:
+        total *= _ways(children, c)
+    return total
 
 
 def _tree_masks(children: dict, node: int) -> list:
@@ -325,11 +320,8 @@ def _tree_masks(children: dict, node: int) -> list:
 
 
 def enumerate_uniform_masks(chain: DomainChain, level: int | None = None):
-    """Yield every uniform relation on X_level as a pair bitmask.
-
-    The bit for pair (x, y) is x * k + y with k the carrier size; the
-    root bit (bottom pair) is always set.
-    """
+    """Yield every uniform relation on X_level as its pair mask; the
+    root bit (bottom pair) is always set."""
     level = chain.depth if level is None else level
     parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
     children = _forest_children(parent, root)
@@ -353,14 +345,7 @@ def sample_uniform_masks(
     parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
     children = _forest_children(parent, root)
     rng = random.Random(seed)
-
-    def ways(node: int) -> int:
-        w = 1
-        for c in children[node]:
-            w *= ways(c)
-        return 1 + w
-
-    wcache = {c: ways(c) for c in range(len(parent))}
+    wcache = {c: _ways(children, c) for c in range(len(parent))}
 
     def pick(node: int) -> int:
         w = wcache[node]
@@ -378,48 +363,17 @@ def sample_uniform_masks(
         yield m
 
 
-def mask_to_rel(carrier: FinPoset, mask: int) -> BinRel:
-    k = carrier.n
-    pairs = set()
-    q = 0
-    while mask:
-        if mask & 1:
-            pairs.add((q // k, q % k))
-        mask >>= 1
-        q += 1
-    return rel_from_pairs(carrier, pairs)
-
-
-def rel_to_mask(rel: BinRel) -> int:
-    k = rel.carrier.n
-    m = 0
-    for x, y in rel.pairs:
-        m |= 1 << (x * k + y)
-    return m
-
-
-def _pair_embedding(chain: DomainChain, m: int, level: int) -> list:
-    """Pair-index map X_m -> X_level along the cumulative embedding."""
-    e = chain.ep(m, level).e.table
-    km, kl = chain.levels[m].n, chain.levels[level].n
-    return [e[q // km] * kl + e[q % km] for q in range(km * km)]
-
-
 def family_from_mask(chain: DomainChain, mask: int, level: int) -> RelFamily:
-    """The family of the uniform relation given as a bitmask on X_level.
+    """The family of the uniform relation given as a pair mask on X_level.
 
     Only levels 0..level are derived from the mask; when level < N the
     remaining levels are filled by direct images along the steps, which
     keeps the family uniform.
     """
-    rels = []
-    for m in range(level + 1):
-        emb = _pair_embedding(chain, m, level)
-        km = chain.levels[m].n
-        pairs = {
-            (q // km, q % km) for q in range(km * km) if (mask >> emb[q]) & 1
-        }
-        rels.append(rel_from_pairs(chain.levels[m], pairs))
+    rels = [
+        BinRel(chain.levels[m], pair_table(chain.ep(m, level).e).pull(mask))
+        for m in range(level + 1)
+    ]
     for m in range(level, chain.depth):
         rels.append(direct_image(chain.steps[m].e, rels[-1]))
     return make_family(chain, rels)
@@ -469,40 +423,35 @@ def _compile_level_action(chain: DomainChain, m: int) -> list:
     relation {bottom pair, q}, which already folds in the base term.
     """
     dom = chain.levels[m]
-    cod = chain.levels[m + 1]
-    k, kc = dom.n, cod.n
-    b = dom.bottom
+    bot = 1 << bottom_index(dom)
     probes = []
-    for q in range(k * k):
-        pairs = {(b, b), (q // k, q % k)}
-        out = eval_rel(
-            chain.functor,
-            rel_from_pairs(dom, pairs),
-            rel_from_pairs(dom, pairs),
-            chain.caps,
-        )
-        mask = 0
-        for x, y in out.pairs:
-            mask |= 1 << (x * kc + y)
-        probes.append(mask)
+    for q in range(dom.n * dom.n):
+        rel = BinRel(dom, bot | 1 << q)
+        probes.append(eval_rel(chain.functor, rel, rel, chain.caps).mask)
     return probes
+
+
+def _apply_probes(probes: list, mask: int) -> int:
+    """The compiled action: OR of probes[q] over the set bits q of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= probes[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def _verify_compiled(chain: DomainChain, m: int, probes: list, seed: int) -> None:
     dom = chain.levels[m]
-    k = dom.n
     rng = random.Random(seed ^ (m + 1))
     for _ in range(5):
-        pairs = {(dom.bottom, dom.bottom)}
-        for q in range(k * k):
+        mask = 1 << bottom_index(dom)
+        for q in range(dom.n * dom.n):
             if rng.random() < 0.4:
-                pairs.add((q // k, q % k))
-        rel = rel_from_pairs(dom, pairs)
+                mask |= 1 << q
+        rel = BinRel(dom, mask)
         direct = eval_rel(chain.functor, rel, rel, chain.caps)
-        mask = 0
-        for x, y in pairs:
-            mask |= probes[x * k + y]
-        if mask != rel_to_mask(direct):
+        if _apply_probes(probes, mask) != direct.mask:
             raise InternalInvariantViolation(
                 "compiled relational action disagrees with eval_rel", level=m
             )
@@ -569,10 +518,9 @@ def check_contractive(
         report["seed"] = seed
     report["strategy"] = strategy
 
-    # Per-level pair embeddings into the enumeration carrier, for deriving
-    # the family levels that serve as group keys and operator inputs.
-    embs = [_pair_embedding(chain, m, level) for m in range(level + 1)]
-    sizes = [p.n for p in chain.levels]
+    # Per-level embeddings into the enumeration carrier, for deriving the
+    # family levels that serve as group keys and operator inputs.
+    embs = [pair_table(chain.ep(m, level).e) for m in range(level + 1)]
 
     # Levels needed as keys or operator inputs: in section mode the top
     # group index is depth-1, so inputs stop at depth-2.
@@ -594,19 +542,10 @@ def check_contractive(
         key = (m, in_mask)
         if key not in memo:
             if compiled is not None:
-                acc = 0
-                v = in_mask
-                probes = compiled[m]
-                while v:
-                    low = v & -v
-                    acc |= probes[low.bit_length() - 1]
-                    v ^= low
-                memo[key] = acc
+                memo[key] = _apply_probes(compiled[m], in_mask)
             else:
-                rel = mask_to_rel(chain.levels[m], in_mask)
-                memo[key] = rel_to_mask(
-                    eval_rel(chain.functor, rel, rel, chain.caps)
-                )
+                rel = BinRel(chain.levels[m], in_mask)
+                memo[key] = eval_rel(chain.functor, rel, rel, chain.caps).mask
         return memo[key]
 
     generic_op = op if op is not None else psi_step
@@ -614,7 +553,7 @@ def check_contractive(
     def run_generic(mask: int) -> tuple:
         fam = family_from_mask(chain, mask, level)
         out = generic_op(chain, fam)
-        return tuple(rel_to_mask(out[m]) for m in range(depth + 1))
+        return tuple(out[m].mask for m in range(depth + 1))
 
     use_fast = compiled is not None and op is None
     groups: list = [dict() for _ in range(depth + 1)]
@@ -623,15 +562,7 @@ def check_contractive(
 
     for mask in masks:
         enumerated += 1
-        levels_in = []
-        for m in range(max_in + 1):
-            emb = embs[m]
-            km = sizes[m]
-            v = 0
-            for q in range(km * km):
-                if (mask >> emb[q]) & 1:
-                    v |= 1 << q
-            levels_in.append(v)
+        levels_in = [embs[m].pull(mask) for m in range(max_in + 1)]
         if use_fast:
             outs = (1,) + tuple(
                 out_level(m, levels_in[m]) for m in range(max_in + 1)

@@ -17,8 +17,10 @@ Relation expressions: diag, total, pairs [...], or a rel name (carrier
 must match).  Comments run from '#' to end of line.
 
 Errors carry line/col positions: ParseError for token-level trouble,
-ResolveError for unknown or mistyped names, InadmissibleRelation for a
-constant relation missing the bottom pair.
+ResolveError for unknown or mistyped names and for poset or relation
+literals their constructors reject (an empty chain, a cyclic order, a
+pair out of range), InadmissibleRelation for a constant relation missing
+the bottom pair.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ import re
 from dataclasses import dataclass, field
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import InadmissibleRelation, ParseError, ResolveError
+from .errors import (
+    InadmissibleRelation,
+    NoLeastElement,
+    NotAPartialOrder,
+    ParseError,
+    ResolveError,
+    TypeMismatch,
+)
 from .functor import (
     Const,
     Fun,
@@ -150,6 +159,16 @@ class _Parser:
         if t.kind != "ident":
             self.fail("a name")
         return self.next().text
+
+    def build(self, t: _Tok, make, *args):
+        """Call a poset or relation constructor; its rejection of the
+        literal becomes a ResolveError at t."""
+        try:
+            return make(*args)
+        except (NotAPartialOrder, NoLeastElement, TypeMismatch) as exc:
+            raise ResolveError(
+                exc.message, line=t.line, col=t.col, **exc.details
+            ) from exc
 
     # -- grammar -----------------------------------------------------------
 
@@ -292,7 +311,7 @@ class _Parser:
             self.expect("(")
             n = self.expect_int()
             self.expect(")")
-            return chain_poset(n)
+            return self.build(t, chain_poset, n)
         if name == "poset":
             self.expect("{")
             self.expect("elems")
@@ -306,7 +325,7 @@ class _Parser:
             self.expect("bot")
             bot = self.expect_int()
             self.expect("}")
-            return validate_poset(n, pairs, bot)
+            return self.build(t, validate_poset, n, pairs, bot)
         if name in bases:
             return bases[name]
         raise ResolveError(
@@ -328,7 +347,7 @@ class _Parser:
             if self.peek().text == "(":
                 pairs = self.pairlist()
             self.expect("]")
-            return rel_from_pairs(carrier, pairs)
+            return self.build(t, rel_from_pairs, carrier, pairs)
         if name in rels:
             got = rels[name]
             if got.carrier != carrier:

@@ -34,10 +34,6 @@ class NotMonotone(RelfixError):
     """A map table violates monotonicity; witness pair in details."""
 
 
-class NotAChain(RelfixError):
-    """A sequence claimed increasing is not; failing index in details."""
-
-
 class SizeCapExceeded(RelfixError):
     """A construction would exceed the configured resource caps."""
 

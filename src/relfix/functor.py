@@ -41,23 +41,24 @@ from .errors import (
 from .poset import (
     FinPoset,
     MonotoneMap,
-    chain_poset,
     enumerate_monotone_maps,
     hom_poset,
     identity_map,
     lift,
     one,
     product,
+    small_pointed_posets,
     sum_sep,
-    validate_poset,
 )
 from .relations import (
     BinRel,
+    PairTable,
+    bottom_index,
     bottom_rel,
     diagonal,
     is_admissible,
     is_rel_morphism,
-    rel_from_pairs,
+    rel_from_matrix,
     total_rel,
 )
 
@@ -83,7 +84,6 @@ __all__ = [
     "sum_map",
     "hom_map",
     "check_functor_laws",
-    "default_law_pool",
 ]
 
 
@@ -186,7 +186,7 @@ def to_src(f: FunctorExpr) -> str:
     if isinstance(f, Var):
         return "D"
     if isinstance(f, Const):
-        return f"const({f.poset.label or f.poset.n}, {len(f.rel.pairs)} pairs)"
+        return f"const({f.poset.label or f.poset.n}, {len(f.rel)} pairs)"
     if isinstance(f, Lift):
         return f"lift({to_src(f.body)})"
     if isinstance(f, Prod):
@@ -235,6 +235,20 @@ def _sum_c(x: FinPoset, y: FinPoset, caps: Caps):
     inl = tuple(p.elem_index[("inl", d)] for d in x.elems)
     inr = tuple(p.elem_index[("inr", d)] for d in y.elems)
     return p, p.elem_index["bot"], inl, inr
+
+
+@lru_cache(maxsize=None)
+def _prod_projections(x: FinPoset, y: FinPoset, caps: Caps):
+    """The product with its two projections as pair tables."""
+    p, idx = _prod_c(x, y, caps)
+    left, right = [0] * p.n, [0] * p.n
+    for (a, b), i in np.ndenumerate(idx):
+        left[i], right[i] = a, b
+    return p, PairTable(left, x.n), PairTable(right, y.n)
+
+
+# The injections of lift and sum as pair tables, cached by (table, size).
+_injection = lru_cache(maxsize=None)(PairTable)
 
 
 @lru_cache(maxsize=None)
@@ -434,48 +448,38 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
         return f.rel
     if isinstance(f, Lift):
         r = _eval_rel(f.body, rneg, spos, caps)
-        p, bot, ups = _lift_c(r.carrier, caps)
-        pairs = {(bot, bot)}
-        pairs.update((ups[a], ups[b]) for a, b in r.pairs)
-        return BinRel(p, frozenset(pairs))
+        p, _, ups = _lift_c(r.carrier, caps)
+        return BinRel(p, _injection(ups, p.n).push(r.mask) | 1 << bottom_index(p))
     if isinstance(f, Prod):
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
-        if len(rl.pairs) * len(rr.pairs) > caps.max_pairs:
+        if len(rl) * len(rr) > caps.max_pairs:
             raise SizeCapExceeded(
                 "product relation would be too large",
-                size=len(rl.pairs) * len(rr.pairs),
+                size=len(rl) * len(rr),
                 cap=caps.max_pairs,
             )
-        p, idx = _prod_c(rl.carrier, rr.carrier, caps)
-        pairs = frozenset(
-            (int(idx[a1, b1]), int(idx[a2, b2]))
-            for a1, a2 in rl.pairs
-            for b1, b2 in rr.pairs
-        )
-        return BinRel(p, pairs)
+        # pairs related componentwise: the meet of the pulls along the
+        # two projections
+        p, left, right = _prod_projections(rl.carrier, rr.carrier, caps)
+        return BinRel(p, left.pull(rl.mask) & right.pull(rr.mask))
     if isinstance(f, SumSep):
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
-        p, bot, inl, inr = _sum_c(rl.carrier, rr.carrier, caps)
-        pairs = {(bot, bot)}
-        pairs.update((inl[a], inl[b]) for a, b in rl.pairs)
-        pairs.update((inr[a], inr[b]) for a, b in rr.pairs)
-        return BinRel(p, frozenset(pairs))
+        p, _, inl, inr = _sum_c(rl.carrier, rr.carrier, caps)
+        mask = _injection(inl, p.n).push(rl.mask) | _injection(inr, p.n).push(rr.mask)
+        return BinRel(p, mask | 1 << bottom_index(p))
     if isinstance(f, Fun):
         ra = _eval_rel(f.left, spos, rneg, caps)
         rb = _eval_rel(f.right, rneg, spos, caps)
         h = _hom_c(ra.carrier, rb.carrier, caps)
         tables = np.array(h.elems, dtype=np.int64)
-        rbm = rb.matrix
-        if ra.pairs:
-            ax = np.fromiter((a for a, _ in ra.pairs), dtype=np.int64)
-            ay = np.fromiter((b for _, b in ra.pairs), dtype=np.int64)
-            ok = rbm[tables[:, None, ax], tables[None, :, ay]].all(axis=2)
+        ax, ay = np.nonzero(ra.matrix)
+        if ax.size:
+            ok = rb.matrix[tables[:, None, ax], tables[None, :, ay]].all(axis=2)
         else:
             ok = np.ones((h.n, h.n), dtype=bool)
-        pairs = frozenset((int(i), int(j)) for i, j in np.argwhere(ok))
-        return BinRel(h, pairs)
+        return rel_from_matrix(h, ok)
     raise TypeMismatch("unknown functor node", node=type(f).__name__)
 
 
@@ -484,29 +488,16 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
 # ---------------------------------------------------------------------------
 
 
-def default_law_pool() -> list[FinPoset]:
-    """Every pointed poset with at most 3 elements, up to isomorphism."""
-    vee = validate_poset(3, [(0, 1), (0, 2)], 0, "vee")
-    return [one(), chain_poset(2), chain_poset(3), vee]
-
-
 def _law_rels(p: FinPoset) -> list[BinRel]:
     """A small admissible-relation pool on p for the relational law."""
-    leq_pairs = frozenset((int(i), int(j)) for i, j in np.argwhere(p.leq))
-    geq_pairs = frozenset((j, i) for i, j in leq_pairs)
     rels = [
         bottom_rel(p),
         diagonal(p),
-        rel_from_pairs(p, leq_pairs),
-        rel_from_pairs(p, geq_pairs),
+        rel_from_matrix(p, p.leq),
+        rel_from_matrix(p, p.leq.T),
         total_rel(p),
     ]
-    seen, out = set(), []
-    for r in rels:
-        if r.pairs not in seen:
-            seen.add(r.pairs)
-            out.append(r)
-    return out
+    return list(dict.fromkeys(rels))
 
 
 def check_functor_laws(
@@ -528,7 +519,7 @@ def check_functor_laws(
     eval_map's signature (used to exercise deliberately broken actions).
     """
     act = action if action is not None else eval_map
-    posets = pool if pool is not None else default_law_pool()
+    posets = pool if pool is not None else small_pointed_posets()
     maps_cache: dict = {}
 
     def maps_between(x: FinPoset, y: FinPoset) -> list[MonotoneMap]:
@@ -620,10 +611,10 @@ def check_functor_laws(
                                         "posets": [name(xp), name(x), name(y), name(yp)],
                                         "u": list(u.table),
                                         "v": list(v.table),
-                                        "R'": sorted(rp.pairs),
-                                        "R": sorted(r.pairs),
-                                        "S": sorted(s.pairs),
-                                        "S'": sorted(sp.pairs),
+                                        "R'": rp.sorted_pairs(),
+                                        "R": r.sorted_pairs(),
+                                        "S": s.sorted_pairs(),
+                                        "S'": sp.sorted_pairs(),
                                     }
 
     run("identity", identity_instances())

@@ -31,7 +31,7 @@ from .poset import (
     identity_map,
     validate_poset,
 )
-from .relations import inverse_image, rel_from_pairs
+from .relations import BinRel, admissible_masks, inverse_image
 
 __all__ = [
     "Idempotent",
@@ -152,7 +152,8 @@ def split_idempotent(p: Idempotent) -> Splitting:
         ],
         local[p(x.bottom)],
     )
-    # validate_poset canonicalizes; elems carries the pre-sort local ids
+    # validate_poset sorts into canonical form; elems carries the pre-sort
+    # local ids
     s_table = tuple(fixed[im.elems[i]] for i in range(im.n))
     pos = {orig: i for i, orig in enumerate(s_table)}
     r_table = tuple(pos[p(v)] for v in range(x.n))
@@ -421,11 +422,8 @@ def karoubi_rel_fiber(a: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> dict:
     counterexamples = []
     admissible = 0
     holds = 0
-    for mask in range(candidates):
-        pairs = {(q // n, q % n) for q in range(n * n) if (mask >> q) & 1}
-        if (x.bottom, x.bottom) not in pairs:
-            continue
-        rel = rel_from_pairs(x, pairs)
+    for mask in admissible_masks(x):
+        rel = BinRel(x, mask)
         admissible += 1
         pulled = inverse_image(p, rel)
         if pulled == rel:

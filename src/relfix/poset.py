@@ -26,7 +26,6 @@ import numpy as np
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
     NoLeastElement,
-    NotAChain,
     NotAPartialOrder,
     NotMonotone,
     SizeCapExceeded,
@@ -39,14 +38,13 @@ __all__ = [
     "one",
     "chain_poset",
     "validate_poset",
-    "canonicalize",
-    "check_poset_axioms",
+    "vee",
+    "small_pointed_posets",
     "lift",
     "product",
     "sum_sep",
     "hom_poset",
     "enumerate_monotone_maps",
-    "chain_limit",
     "monotone_map",
     "identity_map",
     "const_map",
@@ -72,7 +70,8 @@ class FinPoset:
     """A finite pointed poset in canonical form.
 
     Do not call the constructor directly; use validate_poset or the
-    construction functions, which canonicalize and check pointedness.
+    construction functions, which bring it to canonical form and check
+    pointedness.
     """
 
     def __init__(self, leq: np.ndarray, bottom: int, elems: tuple, label: str | None = None):
@@ -162,29 +161,6 @@ def _canonical_build(leq: np.ndarray, elems: tuple, label: str | None) -> FinPos
     return FinPoset(leq2, 0, elems2, label)
 
 
-def canonicalize(p: FinPoset) -> FinPoset:
-    """Recompute the canonical form (idempotent on constructed posets)."""
-    return _canonical_build(p.leq, p.elems, p.label)
-
-
-def check_poset_axioms(leq: np.ndarray) -> list[tuple[str, tuple]]:
-    """All axiom violations of a raw matrix, as (axiom, witness) pairs."""
-    out: list[tuple[str, tuple]] = []
-    n = leq.shape[0]
-    for i in range(n):
-        if not leq[i, i]:
-            out.append(("reflexivity", (i,)))
-    both = leq & leq.T & ~np.eye(n, dtype=bool)
-    for i, j in zip(*np.nonzero(both)):
-        if i < j:
-            out.append(("antisymmetry", (int(i), int(j))))
-    closure = (leq.astype(np.int32) @ leq.astype(np.int32)) > 0
-    missing = closure & ~leq
-    for i, j in zip(*np.nonzero(missing)):
-        out.append(("transitivity", (int(i), int(j))))
-    return out
-
-
 def validate_poset(
     n: int,
     le_pairs: Iterable[tuple[int, int]],
@@ -226,6 +202,16 @@ def chain_poset(n: int, label: str | None = None) -> FinPoset:
         raise NotAPartialOrder("a chain needs at least one element", size=n)
     leq = np.triu(np.ones((n, n), dtype=bool))
     return FinPoset(leq, 0, tuple(range(n)), label or f"chain({n})")
+
+
+def vee() -> FinPoset:
+    """Three elements: bottom under two incomparable points."""
+    return validate_poset(3, [(0, 1), (0, 2)], 0, label="vee")
+
+
+def small_pointed_posets() -> list:
+    """All pointed posets with at most 3 elements, up to canonical form."""
+    return [one(), chain_poset(2), chain_poset(3), vee()]
 
 
 # ---------------------------------------------------------------------------
@@ -426,33 +412,3 @@ def hom_poset(x: FinPoset, y: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:
     arr = np.array(tables, dtype=np.int64)
     leq = y.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
     return _canonical_build(leq, tuple(tables), None)
-
-
-def hom_element_map(h: FinPoset, x: FinPoset, y: FinPoset, i: int) -> MonotoneMap:
-    """The monotone map x -> y represented by element i of hom_poset(x, y)."""
-    return MonotoneMap(x, y, h.elems[i])
-
-
-def chain_limit(seq, carrier: FinPoset | None = None):
-    """Last value of an increasing sequence (its lub in a finite poset).
-
-    Accepts a sequence of element ids (carrier required) or of MonotoneMap
-    with shared dom/cod.  Raises NotAChain at the first non-increase.
-    """
-    seq = list(seq)
-    if not seq:
-        raise NotAChain("empty sequence has no limit", index=0)
-    if isinstance(seq[0], MonotoneMap):
-        for k in range(len(seq) - 1):
-            f, g = seq[k], seq[k + 1]
-            if f.dom != g.dom or f.cod != g.cod:
-                raise TypeMismatch("chain of maps with shifting dom/cod", index=k)
-            if not f.pointwise_leq(g):
-                raise NotAChain("maps are not pointwise increasing", index=k)
-        return seq[-1]
-    if carrier is None:
-        raise TypeMismatch("element chain needs an explicit carrier")
-    for k in range(len(seq) - 1):
-        if not carrier.le(seq[k], seq[k + 1]):
-            raise NotAChain("sequence is not increasing", index=k, pair=(seq[k], seq[k + 1]))
-    return seq[-1]

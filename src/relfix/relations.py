@@ -3,12 +3,19 @@
 A relation is a set of ordered pairs of element ids over a single carrier.
 Admissible means it contains the bottom pair; in finite posets chain-closure
 is automatic, so that one condition is the whole obligation.
+
+A relation on an n-element carrier is stored as one int, its pair mask:
+bit x*n + y is set when (x, y) is in the relation, so the set bits read
+upward are the pairs in (x, y) order.  This module is the only one that
+knows that layout.  Everything else goes through BinRel, whose pairs,
+matrix, sorted_pairs and len are views of the mask, and through
+PairTable, the action of an element map on pair bits: pull is the
+inverse image and push the direct image.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,7 +24,12 @@ from .poset import FinPoset, MonotoneMap
 
 __all__ = [
     "BinRel",
+    "PairTable",
+    "pair_table",
     "rel_from_pairs",
+    "rel_from_matrix",
+    "bottom_index",
+    "admissible_masks",
     "diagonal",
     "total_rel",
     "bottom_rel",
@@ -30,89 +42,223 @@ __all__ = [
     "rel_morphism_witness",
 ]
 
+# Masks of at most this many bits (n*n on an n-element carrier) are worked
+# bit by bit as Python ints; wider ones go through numpy (unpackbits, then
+# a gather or scatter, then packbits), because the int loop shifts the
+# whole mask once per bit and so grows quadratically with the width.
+# Measured with Python 3.11 and numpy 2.4 on a 2-vCPU VM, one pull along
+# an n-element map: n = 3, int 1.2 us / numpy 11 us; n = 8 to 10, about
+# 10 to 17 us either way; n = 32, int 230 us / numpy 25 us.
+_INT_MAX_BITS = 81
+
+
+def _unpack(mask: int, width: int) -> np.ndarray:
+    """The low `width` bits of mask as a bool array, bit 0 first."""
+    raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
+
+
+def _pack(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _set_bits(mask: int, width: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    if width > _INT_MAX_BITS:
+        return np.flatnonzero(_unpack(mask, width)).tolist()
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask_of(bits: Iterable[int], width: int) -> int:
+    """The mask with exactly the given bit indices set."""
+    if width > _INT_MAX_BITS:
+        out = np.zeros(width, dtype=bool)
+        out[np.fromiter(bits, dtype=np.int64)] = True
+        return _pack(out)
+    mask = 0
+    for q in bits:
+        mask |= 1 << q
+    return mask
+
 
 class BinRel:
-    """A binary relation on one carrier poset."""
+    """A binary relation on one carrier poset, stored as its pair mask."""
 
-    __slots__ = ("carrier", "pairs", "_matrix", "_hash", "__dict__")
+    __slots__ = ("carrier", "mask", "_hash")
 
-    def __init__(self, carrier: FinPoset, pairs: frozenset):
+    def __init__(self, carrier: FinPoset, mask: int):
         self.carrier = carrier
-        self.pairs = pairs
-        self._matrix = None
+        self.mask = mask
         self._hash = None
 
     @property
+    def pairs(self) -> frozenset:
+        return frozenset(self.sorted_pairs())
+
+    @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = np.zeros((self.carrier.n, self.carrier.n), dtype=bool)
-            for i, j in self.pairs:
-                m[i, j] = True
-            m.setflags(write=False)
-            self._matrix = m
-        return self._matrix
+        n = self.carrier.n
+        return _unpack(self.mask, n * n).reshape(n, n)
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+        n = self.carrier.n
+        return [divmod(q, n) for q in _set_bits(self.mask, n * n)]
 
     def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+        x, y = pair
+        n = self.carrier.n
+        return 0 <= x < n and 0 <= y < n and bool((self.mask >> (x * n + y)) & 1)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.mask.bit_count()
 
     def __le__(self, other: "BinRel") -> bool:
         if self.carrier != other.carrier:
             raise TypeMismatch("relation inclusion needs a shared carrier")
-        return self.pairs <= other.pairs
+        return (self.mask | other.mask) == other.mask
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinRel)
+            and self.mask == other.mask
             and self.carrier == other.carrier
-            and self.pairs == other.pairs
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.carrier, self.pairs))
+            self._hash = hash((self.carrier, self.mask))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"BinRel({len(self.pairs)} pairs on {self.carrier.n} elements)"
+        return f"BinRel({len(self)} pairs on {self.carrier.n} elements)"
+
+
+class PairTable:
+    """An element table t from a kx- to a ky-element carrier, acting on
+    pair bits: bit x*kx + y goes to bit t[x]*ky + t[y]."""
+
+    __slots__ = ("kx", "ky", "arr", "_index")
+
+    def __init__(self, table: Sequence[int], ky: int):
+        self.kx = kx = len(table)
+        self.ky = ky
+        self.arr = None
+        self._index = None
+        if max(kx, ky) ** 2 > _INT_MAX_BITS:
+            self.arr = np.asarray(table, dtype=np.int64)
+        else:
+            self._index = [a * ky + b for a in table for b in table]
+
+    @property
+    def index(self) -> list[int]:
+        """The codomain bit of every domain bit."""
+        if self._index is None:
+            a = self.arr
+            self._index = (a[:, None] * self.ky + a[None, :]).ravel().tolist()
+        return self._index
+
+    def _images(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """Set bits of a domain mask and their codomain bits, as arrays."""
+        q = np.flatnonzero(_unpack(mask, self.kx * self.kx))
+        x, y = np.divmod(q, self.kx)
+        return q, self.arr[x] * self.ky + self.arr[y]
+
+    def pull(self, mask: int) -> int:
+        """The domain bits whose image bit is set in mask."""
+        if self.arr is not None:
+            k, t = self.ky, self.arr
+            return _pack(_unpack(mask, k * k).reshape(k, k)[np.ix_(t, t)].ravel())
+        out = 0
+        for q, j in enumerate(self._index):
+            if (mask >> j) & 1:
+                out |= 1 << q
+        return out
+
+    def push(self, mask: int) -> int:
+        """The image bits of the set bits of mask."""
+        if self.arr is not None:
+            out = np.zeros(self.ky * self.ky, dtype=bool)
+            out[self._images(mask)[1]] = True
+            return _pack(out)
+        index = self._index
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << index[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def first_escape(self, mask: int, target: int) -> int | None:
+        """The least set bit of mask whose image bit is clear in target."""
+        if self.arr is not None:
+            q, img = self._images(mask)
+            bad = q[~_unpack(target, self.ky * self.ky)[img]]
+            return int(bad[0]) if bad.size else None
+        index = self._index
+        while mask:
+            low = mask & -mask
+            q = low.bit_length() - 1
+            if not (target >> index[q]) & 1:
+                return q
+            mask ^= low
+        return None
+
+
+def pair_table(f: MonotoneMap) -> PairTable:
+    return PairTable(f.table, f.cod.n)
 
 
 def rel_from_pairs(
     carrier: FinPoset, pairs: Iterable[tuple[int, int]], require: bool = False
 ) -> BinRel:
-    ps = frozenset((int(a), int(b)) for a, b in pairs)
+    n = carrier.n
+    ps = [(int(a), int(b)) for a, b in pairs]
     for a, b in ps:
-        if not (0 <= a < carrier.n and 0 <= b < carrier.n):
-            raise TypeMismatch("relation pair out of range", pair=(a, b), size=carrier.n)
-    rel = BinRel(carrier, ps)
+        if not (0 <= a < n and 0 <= b < n):
+            raise TypeMismatch("relation pair out of range", pair=(a, b), size=n)
+    rel = BinRel(carrier, _mask_of((a * n + b for a, b in ps), n * n))
     if require:
         require_admissible(rel, "rel_from_pairs")
     return rel
 
 
+def rel_from_matrix(carrier: FinPoset, m: np.ndarray) -> BinRel:
+    """The relation of a boolean n x n matrix on the carrier."""
+    return BinRel(carrier, _pack(np.asarray(m, dtype=bool).ravel()))
+
+
+def bottom_index(carrier: FinPoset) -> int:
+    """The bit of the bottom pair."""
+    return carrier.bottom * carrier.n + carrier.bottom
+
+
+def admissible_masks(carrier: FinPoset):
+    """Yield the mask of every admissible relation on the carrier, ascending."""
+    bot = 1 << bottom_index(carrier)
+    return (m for m in range(1 << (carrier.n * carrier.n)) if m & bot)
+
+
 def diagonal(carrier: FinPoset) -> BinRel:
-    return BinRel(carrier, frozenset((i, i) for i in range(carrier.n)))
+    n = carrier.n
+    return BinRel(carrier, _mask_of(range(0, n * n, n + 1), n * n))
 
 
 def total_rel(carrier: FinPoset) -> BinRel:
-    return BinRel(
-        carrier, frozenset((i, j) for i in range(carrier.n) for j in range(carrier.n))
-    )
+    return BinRel(carrier, (1 << (carrier.n * carrier.n)) - 1)
 
 
 def bottom_rel(carrier: FinPoset) -> BinRel:
     """The least admissible relation: just the bottom pair."""
-    return BinRel(carrier, frozenset({(carrier.bottom, carrier.bottom)}))
+    return BinRel(carrier, 1 << bottom_index(carrier))
 
 
 def is_admissible(rel: BinRel) -> bool:
-    b = rel.carrier.bottom
-    return (b, b) in rel.pairs
+    return bool((rel.mask >> bottom_index(rel.carrier)) & 1)
 
 
 def require_admissible(rel: BinRel, context: str) -> BinRel:
@@ -131,21 +277,14 @@ def inverse_image(f: MonotoneMap, s: BinRel) -> BinRel:
     """
     if s.carrier != f.cod:
         raise TypeMismatch("inverse image: relation lives on the codomain")
-    t = f.table
-    sm = s.matrix
-    n = f.dom.n
-    pairs = frozenset((i, j) for i in range(n) for j in range(n) if sm[t[i], t[j]])
-    return BinRel(f.dom, pairs)
+    return BinRel(f.dom, pair_table(f).pull(s.mask))
 
 
 def direct_image(f: MonotoneMap, r: BinRel) -> BinRel:
     """f_!R = the pointwise image of R, with the bottom pair added back."""
     if r.carrier != f.dom:
         raise TypeMismatch("direct image: relation lives on the domain")
-    t = f.table
-    b = f.cod.bottom
-    pairs = frozenset((t[i], t[j]) for i, j in r.pairs) | {(b, b)}
-    return BinRel(f.cod, pairs)
+    return BinRel(f.cod, pair_table(f).push(r.mask) | 1 << bottom_index(f.cod))
 
 
 def intersect(rels: Iterable[BinRel], carrier: FinPoset) -> BinRel:
@@ -153,26 +292,21 @@ def intersect(rels: Iterable[BinRel], carrier: FinPoset) -> BinRel:
     rels = list(rels)
     if not rels:
         return total_rel(carrier)
-    pairs = rels[0].pairs
-    for r in rels[1:]:
-        if r.carrier != carrier:
-            raise TypeMismatch("intersection needs a shared carrier")
-        pairs = pairs & r.pairs
-    if rels[0].carrier != carrier:
+    if any(r.carrier != carrier for r in rels):
         raise TypeMismatch("intersection needs a shared carrier")
-    return BinRel(carrier, pairs)
+    mask = rels[0].mask
+    for r in rels[1:]:
+        mask &= r.mask
+    return BinRel(carrier, mask)
 
 
 def rel_morphism_witness(f: MonotoneMap, r: BinRel, s: BinRel):
-    """A pair of R not carried into S by f, or None if f : R -> S."""
+    """The least pair of R, in (x, y) order, not carried into S by f, or
+    None if f : R -> S."""
     if r.carrier != f.dom or s.carrier != f.cod:
         raise TypeMismatch("relation morphism: carriers must match dom/cod")
-    t = f.table
-    sm = s.matrix
-    for i, j in r.pairs:
-        if not sm[t[i], t[j]]:
-            return (i, j)
-    return None
+    q = pair_table(f).first_escape(r.mask, s.mask)
+    return None if q is None else divmod(q, f.dom.n)
 
 
 def is_rel_morphism(f: MonotoneMap, r: BinRel, s: BinRel) -> bool:

@@ -37,7 +37,6 @@ from .functor import (
     check_functor_laws,
     eval_map,
     hom_map,
-    to_src,
 )
 from .karoubi import (
     Idempotent,
@@ -60,14 +59,20 @@ from .poset import (
     enumerate_monotone_maps,
     identity_map,
     one,
+    small_pointed_posets,
     validate_poset,
+    vee,
 )
 from .relations import (
+    BinRel,
+    admissible_masks,
+    bottom_index,
     diagonal,
     direct_image,
     inverse_image,
     is_rel_morphism,
-    rel_from_pairs,
+    pair_table,
+    total_rel,
 )
 
 __all__ = [
@@ -88,19 +93,9 @@ __all__ = [
 ]
 
 
-def vee() -> FinPoset:
-    """Three elements: bottom under two incomparable points."""
-    return validate_poset(3, [(0, 1), (0, 2)], 0, label="vee")
-
-
 def diamond() -> FinPoset:
     """Four elements: bottom, two incomparable middles, a top."""
     return validate_poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, label="diamond")
-
-
-def small_pointed_posets() -> list:
-    """All pointed posets with at most 3 elements, up to canonical form."""
-    return [one(), chain_poset(2), chain_poset(3), vee()]
 
 
 def canonical_specs() -> dict:
@@ -121,61 +116,12 @@ CANONICAL_SOURCES = {
 
 
 # ---------------------------------------------------------------------------
-# bitmask plumbing for exhaustive relation quantifiers
+# the relation-morphism lemma and the image adjunction
 # ---------------------------------------------------------------------------
-
-
-def _bot_bit(p: FinPoset) -> int:
-    return 1 << (p.bottom * p.n + p.bottom)
-
-
-def _admissible_masks(p: FinPoset) -> list:
-    """Every admissible relation on p as a pair bitmask, ascending."""
-    n2 = p.n * p.n
-    bot = _bot_bit(p)
-    rest = [q for q in range(n2) if (1 << q) != bot]
-    out = []
-    for bits in range(1 << len(rest)):
-        m = bot
-        for i, q in enumerate(rest):
-            if (bits >> i) & 1:
-                m |= 1 << q
-        out.append(m)
-    return sorted(out)
-
-
-def _pair_image(f: MonotoneMap) -> list:
-    """Pair-index table of f acting on pairs componentwise."""
-    kx, ky = f.dom.n, f.cod.n
-    return [f(q // kx) * ky + f(q % kx) for q in range(kx * kx)]
-
-
-def _pull_mask(img: list, s: int) -> int:
-    out = 0
-    for q, j in enumerate(img):
-        if (s >> j) & 1:
-            out |= 1 << q
-    return out
-
-
-def _push_mask(img: list, r: int, bot_cod: int) -> int:
-    out = bot_cod
-    q = 0
-    while r:
-        if r & 1:
-            out |= 1 << img[q]
-        r >>= 1
-        q += 1
-    return out
 
 
 def _all_maps(x: FinPoset, y: FinPoset) -> list:
     return [MonotoneMap(x, y, t) for t in enumerate_monotone_maps(x, y)]
-
-
-# ---------------------------------------------------------------------------
-# the relation-morphism lemma and the image adjunction
-# ---------------------------------------------------------------------------
 
 
 def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
@@ -189,16 +135,16 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
         into every member (empty and binary families).
     """
     posets = small_pointed_posets()
-    rels = {p: _admissible_masks(p) for p in posets}
+    rels = {p: list(admissible_masks(p)) for p in posets}
     report: dict = {"corpus": [p.label or str(p.n) for p in posets], "properties": {}}
 
     count = 0
     ok = True
     for p in posets:
         idm = identity_map(p)
-        img_id = _pair_image(idm)
+        pt_id = pair_table(idm)
         for s in rels[p]:
-            pulled = _pull_mask(img_id, s)
+            pulled = pt_id.pull(s)
             for r in rels[p]:
                 count += 1
                 if ((r & ~pulled) == 0) != ((r & ~s) == 0):
@@ -206,7 +152,7 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
         # spot-check the actual operation on a deterministic stride
         for i, (r, s) in enumerate(itertools.product(rels[p], rels[p])):
             if i % 97 == 0 and is_rel_morphism(
-                idm, _mask_rel(p, r), _mask_rel(p, s)
+                idm, BinRel(p, r), BinRel(p, s)
             ) != ((r & ~s) == 0):
                 ok = False
     report["properties"]["identity_iff_inclusion"] = {"instances": count, "ok": ok}
@@ -217,7 +163,7 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
         for f in _all_maps(x, y):
             for s in rels[y]:
                 count += 1
-                srel = _mask_rel(y, s)
+                srel = BinRel(y, s)
                 pulled = inverse_image(f, srel)
                 if not is_rel_morphism(f, pulled, srel):
                     ok = False
@@ -227,33 +173,33 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     ok = True
     for x, y, z in itertools.product(posets, repeat=3):
         for f in _all_maps(x, y):
-            img_f = _pair_image(f)
+            pt_f = pair_table(f)
             for g in _all_maps(y, z):
-                img_g = _pair_image(g)
-                img_gf = [img_g[j] for j in img_f]
+                pt_g = pair_table(g)
+                pt_gf = pair_table(g @ f)
                 for s in rels[z]:
                     count += 1
-                    if _pull_mask(img_gf, s) != _pull_mask(img_f, _pull_mask(img_g, s)):
+                    if pt_gf.pull(s) != pt_f.pull(pt_g.pull(s)):
                         ok = False
     report["properties"]["composition_transpose"] = {"instances": count, "ok": ok}
 
     count = 0
     ok = True
     for x, y in itertools.product(posets, repeat=2):
-        total_y = (1 << (y.n * y.n)) - 1
-        total_x = (1 << (x.n * x.n)) - 1
+        total_y = total_rel(y).mask
+        total_x = total_rel(x).mask
         for f in _all_maps(x, y):
-            img = _pair_image(f)
+            pt = pair_table(f)
             count += 1
-            if _pull_mask(img, total_y) != total_x:
+            if pt.pull(total_y) != total_x:
                 ok = False
-            pulls = {s: _pull_mask(img, s) for s in rels[y]}
+            pulls = {s: pt.pull(s) for s in rels[y]}
             for s1 in rels[y]:
                 for s2 in rels[y]:
                     if s2 < s1:
                         continue
                     count += 1
-                    if _pull_mask(img, s1 & s2) != pulls[s1] & pulls[s2]:
+                    if pt.pull(s1 & s2) != pulls[s1] & pulls[s2]:
                         ok = False
     report["properties"]["meet_preservation"] = {"instances": count, "ok": ok}
 
@@ -261,26 +207,19 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     return report
 
 
-def _mask_rel(p: FinPoset, mask: int):
-    n = p.n
-    return rel_from_pairs(
-        p, {(q // n, q % n) for q in range(n * n) if (mask >> q) & 1}
-    )
-
-
 def adjunction_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     """direct_image -| inverse_image, exhaustive on the same corpus."""
     posets = small_pointed_posets()
-    rels = {p: _admissible_masks(p) for p in posets}
+    rels = {p: list(admissible_masks(p)) for p in posets}
     count = 0
     ok = True
     witnesses = []
     for x, y in itertools.product(posets, repeat=2):
-        bot_y = _bot_bit(y)
+        bot_y = 1 << bottom_index(y)
         for f in _all_maps(x, y):
-            img = _pair_image(f)
-            pushes = {r: _push_mask(img, r, bot_y) for r in rels[x]}
-            pulls = {s: _pull_mask(img, s) for s in rels[y]}
+            pt = pair_table(f)
+            pushes = {r: pt.push(r) | bot_y for r in rels[x]}
+            pulls = {s: pt.pull(s) for s in rels[y]}
             for r in rels[x]:
                 pr = pushes[r]
                 for s in rels[y]:
@@ -298,8 +237,8 @@ def adjunction_suite(caps: Caps = DEFAULT_CAPS) -> dict:
             for r in rels[x][:4]:
                 for s in rels[y][:4]:
                     spot += 1
-                    lhs = direct_image(f, _mask_rel(x, r)) <= _mask_rel(y, s)
-                    rhs = _mask_rel(x, r) <= inverse_image(f, _mask_rel(y, s))
+                    lhs = direct_image(f, BinRel(x, r)) <= BinRel(y, s)
+                    rhs = BinRel(x, r) <= inverse_image(f, BinRel(y, s))
                     if lhs != rhs:
                         ok = False
     return {

@@ -173,6 +173,39 @@ def test_cap_excess_is_a_resource_error():
     proc = run_cli("solve", "--spec", str(SPECS / "reflexive.spec"), "--depth", "4")
     assert proc.returncode == 3
     assert "level" in proc.stderr
+    # the chain-level error carries the cap details of its cause once
+    for key in ("cap", "cod", "dom", "functor", "level"):
+        assert proc.stderr.count(f"{key}=") == 1, proc.stderr
+
+
+CYCLIC = "poset { elems 2; le (0,1), (1,0); bot 0 }"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spec", "domain D = prod(const(chain(0), diag), D)\ndepth 1\n"),
+        ("spec", f"domain D = prod(const({CYCLIC}, diag), D)\ndepth 1\n"),
+        ("spec", "domain D = sum(one, D)\ndepth -1\n"),
+        ("spec", "domain D = prod(const(chain(2), pairs [(0,0), (0,5)]), D)\ndepth 1\n"),
+        ("karoubi", "chain(0)"),
+        ("karoubi", CYCLIC),
+    ],
+    ids=["empty_chain", "cyclic_poset", "negative_depth", "pair_out_of_range",
+         "karoubi_empty_chain", "karoubi_cyclic_poset"],
+)
+def test_bad_input_is_a_usage_error(args, tmp_path):
+    kind, text = args
+    if kind == "spec":
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        proc = run_cli("relate", "--spec", str(spec))
+    else:
+        proc = run_cli("karoubi", "--poset", text)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("relfix: "), proc.stderr
 
 
 def test_timings_go_to_stderr_only():

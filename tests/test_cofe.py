@@ -16,18 +16,16 @@ from relfix.cofe import (
     family_from_mask,
     is_linear,
     later_shift,
-    mask_to_rel,
     n_equal,
     ofe_distance,
     prefix_equal,
-    rel_to_mask,
     sample_uniform_masks,
     uniform_space_size,
 )
 from relfix.engines import psi_step, solve_kleene
 from relfix.errors import NotCauchy, TypeMismatch
 from relfix.functor import Fun, Lift, Prod, SumSep, Var
-from relfix.relations import diagonal
+from relfix.relations import BinRel, diagonal
 from relfix.suites import canonical_specs
 
 
@@ -144,8 +142,8 @@ def test_enumerated_masks_give_uniform_families():
     for mask in masks:
         fam = family_from_mask(ch, mask, 1)
         assert is_uniform_family(fam)
-        assert rel_to_mask(fam[1]) == mask
-        assert mask_to_rel(ch.levels[1], mask) == fam[1]
+        assert fam[1].mask == mask
+        assert BinRel(ch.levels[1], mask) == fam[1]
 
 
 def test_sampling_is_seeded_and_lands_in_the_space():

@@ -22,7 +22,6 @@ from relfix.poset import (
     chain_poset,
     const_map,
     enumerate_monotone_maps,
-    hom_element_map,
     hom_poset,
     identity_map,
     lift,
@@ -192,8 +191,8 @@ def test_hom_poset_is_ordered_pointwise():
     assert h.n == 3
     for i in range(h.n):
         for j in range(h.n):
-            fi = hom_element_map(h, c2, c2, i)
-            fj = hom_element_map(h, c2, c2, j)
+            fi = MonotoneMap(c2, c2, h.elems[i])
+            fj = MonotoneMap(c2, c2, h.elems[j])
             assert h.le(i, j) == fi.pointwise_leq(fj)
 
 

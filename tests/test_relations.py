@@ -25,6 +25,9 @@ from relfix.relations import (
 
 C2 = chain_poset(2)
 C3 = chain_poset(3)
+# 144 pair bits: wide enough that relations and pair tables on it take
+# the numpy path, while those on C3 take the int path
+C12 = chain_poset(12)
 
 
 @st.composite
@@ -124,3 +127,44 @@ def test_identity_morphism_statement_is_inclusion():
     r = rel_from_pairs(C3, [(0, 0), (1, 2)])
     s = rel_from_pairs(C3, [(0, 0), (1, 2), (2, 2)])
     assert is_rel_morphism(ident, r, s) == (r <= s)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A monotone map between chains with pair sets on its ends."""
+    x = draw(st.sampled_from([C3, C12]))
+    y = draw(st.sampled_from([C3, C12]))
+    values = st.integers(min_value=0, max_value=y.n - 1)
+    table = sorted(draw(st.lists(values, min_size=x.n, max_size=x.n)))
+
+    def pair_set(p):
+        ids = st.integers(min_value=0, max_value=p.n - 1)
+        return draw(st.frozensets(st.tuples(ids, ids), max_size=p.n * p.n))
+
+    return monotone_map(x, y, table), pair_set(x), pair_set(y), pair_set(y)
+
+
+@given(oracle_cases())
+def test_mask_operations_match_pair_set_semantics(case):
+    # the oracle is plain set comprehension over pairs, the semantics the
+    # mask encoding must keep on both of its paths
+    f, r, s1, s2 = case
+    x, y = f.dom, f.cod
+    rel, srel1, srel2 = rel_from_pairs(x, r), rel_from_pairs(y, s1), rel_from_pairs(y, s2)
+    b = y.bottom
+
+    assert rel.pairs == r
+    assert rel.sorted_pairs() == sorted(r)
+    assert len(rel) == len(r)
+    assert {(int(i), int(j)) for i, j in zip(*rel.matrix.nonzero())} == r
+    assert inverse_image(f, srel1).pairs == {
+        (i, j) for i in range(x.n) for j in range(x.n) if (f(i), f(j)) in s1
+    }
+    assert direct_image(f, rel).pairs == {(f(i), f(j)) for i, j in r} | {(b, b)}
+    assert intersect([srel1, srel2], y).pairs == s1 & s2
+    assert (srel1 <= srel2) == (s1 <= s2)
+    assert (srel1 == srel2) == (s1 == s2)
+    assert srel1 == rel_from_pairs(y, sorted(s1))
+    assert hash(srel1) == hash(rel_from_pairs(y, sorted(s1)))
+    escapes = [(i, j) for i, j in sorted(r) if (f(i), f(j)) not in s1]
+    assert rel_morphism_witness(f, rel, srel1) == (escapes[0] if escapes else None)
