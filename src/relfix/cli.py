@@ -222,8 +222,11 @@ def cmd_karoubi(args) -> int:
 
 
 def cmd_check(args) -> int:
+    def timed(key: str, seconds: float) -> None:
+        print(f"check[{key}]: {seconds:.3f}s", file=sys.stderr)
+
     t0 = time.monotonic()
-    result = run_suite(args.suite)
+    result = run_suite(args.suite, on_suite=timed if args.timings else None)
     if args.timings:
         print(f"check[{args.suite}]: {time.monotonic() - t0:.3f}s", file=sys.stderr)
     _emit(args, make_report("check", args.suite, args.seed or 0, result))

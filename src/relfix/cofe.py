@@ -27,10 +27,14 @@ operator actually supplied.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .chain import (
     DomainChain,
@@ -67,7 +71,9 @@ from .relations import (
     intersect,
     inverse_image,
     is_rel_morphism,
+    masks_to_rows,
     pair_table,
+    rows_to_masks,
     total_rel,
 )
 
@@ -81,6 +87,7 @@ __all__ = [
     "validate_cauchy",
     "cofe_limit",
     "uniform_space_size",
+    "uniform_mask_blocks",
     "enumerate_uniform_masks",
     "sample_uniform_masks",
     "family_from_mask",
@@ -319,22 +326,58 @@ def _tree_masks(children: dict, node: int) -> list:
     return [0] + sub
 
 
-def enumerate_uniform_masks(chain: DomainChain, level: int | None = None):
-    """Yield every uniform relation on X_level as its pair mask; the
-    root bit (bottom pair) is always set."""
+# Rows per block of packed masks in uniform_mask_blocks and
+# check_contractive.  Measured with Python 3.11 and numpy 2.4 on a 2-vCPU
+# VM, the contractive check of lazy_nat depth 3 (1,285,000 section masks)
+# takes 1.7 s with 512-row blocks (which hold only 257 rows there, since
+# the inner trees must fit), 0.43 s with 4,096 and 0.38 s with 32,768,
+# while its peak RSS grows by 0.8 MB and 5.3 MB with the last two.
+BLOCK_ROWS = 4096
+
+
+def uniform_mask_blocks(chain: DomainChain, level: int | None = None):
+    """Yield every uniform relation on X_level as packed mask rows (see
+    relations.masks_to_rows), at most BLOCK_ROWS rows a block.
+
+    The order is that of itertools.product over the trees below the root.
+    The trailing trees whose product fits a block are expanded once into
+    an inner block; each yielded block ORs it with the next run of outer
+    combinations, which itertools.product supplies.
+    """
     level = chain.depth if level is None else level
+    width = chain.levels[level].n ** 2
     parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
     children = _forest_children(parent, root)
     per_tree = [_tree_masks(children, c) for c in children[root]]
-    base = 1 << root
-    if not per_tree:
-        yield base
-        return
-    for combo in itertools.product(*per_tree):
-        m = base
-        for c in combo:
-            m |= c
-        yield m
+    split, inner_size = len(per_tree), 1
+    while split and inner_size * len(per_tree[split - 1]) <= BLOCK_ROWS:
+        split -= 1
+        inner_size *= len(per_tree[split])
+    inner = masks_to_rows(
+        (_union(combo) | 1 << root for combo in itertools.product(*per_tree[split:])),
+        width,
+    )
+    outer = map(_union, itertools.product(*per_tree[:split]))
+    for chunk in _chunks(outer, BLOCK_ROWS // inner_size):
+        rows = masks_to_rows(chunk, width)
+        yield (rows[:, None, :] | inner[None, :, :]).reshape(-1, inner.shape[1])
+
+
+def _union(masks) -> int:
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _chunks(items, size: int):
+    """Consecutive lists of up to size items."""
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+
+
+def enumerate_uniform_masks(chain: DomainChain, level: int | None = None):
+    """Yield every uniform relation on X_level as its pair mask; the
+    root bit (bottom pair) is always set."""
+    for block in uniform_mask_blocks(chain, level):
+        yield from rows_to_masks(block)
 
 
 def sample_uniform_masks(
@@ -462,6 +505,72 @@ def _verify_compiled(chain: DomainChain, m: int, probes: list, seed: int) -> Non
 # ---------------------------------------------------------------------------
 
 
+def _value_columns(rows) -> list:
+    """Per-row value tuples as columns of (per-row ids, distinct values)."""
+    columns = []
+    for column in zip(*rows):
+        index: dict = {}
+        ids = [index.setdefault(v, len(index)) for v in column]
+        columns.append((np.array(ids, dtype=np.intp), list(index)))
+    return columns
+
+
+def _combined_ids(columns: list, size: int) -> np.ndarray:
+    """One id per row for the tuple of its column ids, equal exactly when
+    the tuples are equal (mixed radix, renumbered before it overflows)."""
+    acc = np.zeros(size, dtype=np.int64)
+    bound = 1
+    for ids in columns:
+        radix = int(ids.max()) + 1
+        if bound * radix >= 1 << 62:
+            acc = np.unique(acc, return_inverse=True)[1].ravel().astype(np.int64)
+            bound = int(acc.max()) + 1
+        acc = acc * radix + ids
+        bound *= radix
+    return acc
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """(per-row ids, distinct masks) of a batch of packed masks."""
+    ids = _combined_ids([rows[:, j] for j in range(rows.shape[1])], len(rows))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return inverse.ravel(), rows_to_masks(rows[first])
+
+
+def _block_conflicts(groups: list, group_ns, keys: list, outs: list, block) -> list:
+    """The conflicts of one block of masks, as (row, n, output level,
+    witness mask) in (row, n) order.
+
+    keys[m] and outs[m] are (per-row ids, distinct values) columns of the
+    input level m and the output level m.  For each n the key of a row is
+    its input levels below n and its want is its output levels up to n;
+    groups[n] maps each key met so far to the want and mask of its first
+    row, the witness, and every later row with that key and another want
+    conflicts with the witness.
+    """
+    found = []
+    for n in group_ns:
+        cols = [ids for ids, _ in keys[:n]] + [ids for ids, _ in outs[: n + 1]]
+        _, first, combo = np.unique(
+            _combined_ids(cols, len(block)), return_index=True, return_inverse=True
+        )
+        combo = combo.ravel()
+        for c in np.argsort(first):
+            r = first[c]
+            key = tuple(values[ids[r]] for ids, values in keys[:n])
+            want = tuple(values[ids[r]] for ids, values in outs[: n + 1])
+            seen = groups[n].get(key)
+            if seen is None:
+                groups[n][key] = (want, rows_to_masks(block[r : r + 1])[0])
+            elif seen[0] != want:
+                m_bad = next(i for i in range(n + 1) if seen[0][i] != want[i])
+                found.extend(
+                    (int(row), n, m_bad, seen[1]) for row in np.flatnonzero(combo == c)
+                )
+    found.sort()
+    return found
+
+
 def check_contractive(
     chain: DomainChain,
     op=None,
@@ -484,9 +593,17 @@ def check_contractive(
       this for the operator actually used.  Requires the default op.
     * sampled: seeded sampling of the full space.
 
+    Masks arrive in blocks of packed rows, and each block is pulled to
+    every key level in one batch.  The default operator runs levelwise:
+    psi's output level m+1 is eval_rel(F, R_m, R_m), computed once per
+    distinct level-m input (through probe masks when the functor is
+    linear).  A custom op runs once per family.
+
     The implication is decided by grouping: for each n, families sharing
-    the prefix below n must produce outputs sharing the prefix below n+1;
-    the first conflicting pair per n is reported as a counterexample.
+    the prefix below n must produce outputs sharing the prefix below n+1.
+    Each family that breaks this against the first family of its group is
+    a counterexample; they are reported in enumeration order, stopping
+    after the family that brings the count to five.
     """
     depth = chain.depth
     space = uniform_space_size(chain)
@@ -502,18 +619,20 @@ def check_contractive(
     if space <= full_budget:
         strategy = "full"
         level = depth
-        masks = enumerate_uniform_masks(chain, depth)
+        blocks = uniform_mask_blocks(chain, depth)
         group_ns = range(depth + 1)
     elif op is None and depth >= 1 and uniform_space_size(chain, depth - 1) <= section_budget:
         strategy = "sections"
         level = depth - 1
-        masks = enumerate_uniform_masks(chain, depth - 1)
+        blocks = uniform_mask_blocks(chain, depth - 1)
         group_ns = range(depth)
         report["section_space"] = uniform_space_size(chain, depth - 1)
     else:
         strategy = "sampled"
         level = depth
-        masks = sample_uniform_masks(chain, samples, seed, depth)
+        sampled = sample_uniform_masks(chain, samples, seed, depth)
+        width = chain.levels[depth].n ** 2
+        blocks = (masks_to_rows(c, width) for c in _chunks(sampled, BLOCK_ROWS))
         group_ns = range(depth + 1)
         report["seed"] = seed
     report["strategy"] = strategy
@@ -548,47 +667,47 @@ def check_contractive(
                 memo[key] = eval_rel(chain.functor, rel, rel, chain.caps).mask
         return memo[key]
 
-    generic_op = op if op is not None else psi_step
-
-    def run_generic(mask: int) -> tuple:
-        fam = family_from_mask(chain, mask, level)
-        out = generic_op(chain, fam)
+    def run_op(mask: int) -> tuple:
+        out = op(chain, family_from_mask(chain, mask, level))
         return tuple(out[m].mask for m in range(depth + 1))
 
-    use_fast = compiled is not None and op is None
     groups: list = [dict() for _ in range(depth + 1)]
     enumerated = 0
     conflicts = report["counterexamples"]
 
-    for mask in masks:
-        enumerated += 1
-        levels_in = [embs[m].pull(mask) for m in range(max_in + 1)]
-        if use_fast:
-            outs = (1,) + tuple(
-                out_level(m, levels_in[m]) for m in range(max_in + 1)
-            )
+    for block in blocks:
+        # input level m of every row, as distinct masks and per-row ids
+        keys = [_distinct_rows(embs[m].pull_rows(block)) for m in range(max_in + 1)]
+        if op is None:
+            # psi's output level m+1 is eval_rel(F, R_m, R_m) and level 0
+            # is total on the one-point X_0, so each output column is
+            # computed once per distinct input
+            outs = [(np.zeros(len(block), dtype=np.intp), [1])] + [
+                (ids, [out_level(m, v) for v in values])
+                for m, (ids, values) in enumerate(keys)
+            ]
         else:
-            outs = run_generic(mask)
-        for n in group_ns:
-            key = tuple(levels_in[: min(n, max_in + 1)])
-            want = outs[: n + 1]
-            seen = groups[n].get(key)
-            if seen is None:
-                groups[n][key] = (want, mask)
-            elif seen[0] != want:
-                m_bad = next(i for i in range(n + 1) if seen[0][i] != want[i])
-                conflicts.append(
-                    {
-                        "n": n,
-                        "output_level": m_bad,
-                        "mask_a": seen[1],
-                        "mask_b": mask,
-                    }
-                )
-                report["ok"] = False
-        if len(conflicts) >= 5:
+            outs = _value_columns(map(run_op, rows_to_masks(block)))
+        stop = None
+        for row, n, m_bad, mask_a in _block_conflicts(groups, group_ns, keys, outs, block):
+            if stop is not None and row > stop:
+                break
+            conflicts.append(
+                {
+                    "n": n,
+                    "output_level": m_bad,
+                    "mask_a": mask_a,
+                    "mask_b": rows_to_masks(block[row : row + 1])[0],
+                }
+            )
+            report["ok"] = False
+            if stop is None and len(conflicts) >= 5:
+                stop = row
+        if stop is not None:
+            enumerated += stop + 1
             report["stopped_early"] = True
             break
+        enumerated += len(block)
     report["enumerated"] = enumerated
 
     if strategy == "sections":
@@ -603,7 +722,7 @@ def check_contractive(
             prefix = list(fam_e.rels[:depth])
             alt_top = inverse_image(chain.steps[depth - 1].p, prefix[-1])
             fam_p = make_family(chain, prefix + [alt_top])
-            if generic_op(chain, fam_e) != generic_op(chain, fam_p):
+            if psi_step(chain, fam_e) != psi_step(chain, fam_p):
                 filler_ok = False
                 report["ok"] = False
                 conflicts.append({"n": depth, "filler_pair_mask": mask})

@@ -518,9 +518,32 @@ def check_functor_laws(
     The action argument substitutes an alternative morphism action with
     eval_map's signature (used to exercise deliberately broken actions).
     """
-    act = action if action is not None else eval_map
+    act_fn = action if action is not None else eval_map
     posets = pool if pool is not None else small_pointed_posets()
     maps_cache: dict = {}
+    act_memo: dict = {}
+    rel_memo: dict = {}
+    rels_memo: dict = {}
+
+    # The actions and relational actions are memoised for this call.  The
+    # instance generators consult the memos as they go, so instances past
+    # a law's budget compute nothing.
+    def act(neg: MonotoneMap, pos: MonotoneMap) -> MonotoneMap:
+        key = (neg, pos)
+        if key not in act_memo:
+            act_memo[key] = act_fn(f, neg, pos, caps)
+        return act_memo[key]
+
+    def rel_act(r: BinRel, s: BinRel) -> BinRel:
+        key = (r, s)
+        if key not in rel_memo:
+            rel_memo[key] = eval_rel(f, r, s, caps)
+        return rel_memo[key]
+
+    def law_rels(p: FinPoset) -> list[BinRel]:
+        if p not in rels_memo:
+            rels_memo[p] = _law_rels(p)
+        return rels_memo[p]
 
     def maps_between(x: FinPoset, y: FinPoset) -> list[MonotoneMap]:
         key = (x, y)
@@ -554,7 +577,7 @@ def check_functor_laws(
 
     def identity_instances():
         for x, y in itertools.product(posets, repeat=2):
-            m = act(f, identity_map(x), identity_map(y), caps)
+            m = act(identity_map(x), identity_map(y))
             yield None if m.is_identity() else {
                 "neg": name(x), "pos": name(y), "image": list(m.table)
             }
@@ -565,8 +588,8 @@ def check_functor_laws(
                 for fn2 in maps_between(c, b):
                     for fp1 in maps_between(a, b):
                         for fp2 in maps_between(b, c):
-                            lhs = act(f, fn1 @ fn2, fp2 @ fp1, caps)
-                            rhs = act(f, fn2, fp2, caps) @ act(f, fn1, fp1, caps)
+                            lhs = act(fn1 @ fn2, fp2 @ fp1)
+                            rhs = act(fn2, fp2) @ act(fn1, fp1)
                             yield None if lhs == rhs else {
                                 "posets": [name(a), name(b), name(c)],
                                 "fneg": [list(fn1.table), list(fn2.table)],
@@ -583,8 +606,8 @@ def check_functor_laws(
                 for p1, p2 in itertools.product(poss, repeat=2):
                     if not p1.pointwise_leq(p2):
                         continue
-                    lo = act(f, n1, p1, caps)
-                    hi = act(f, n2, p2, caps)
+                    lo = act(n1, p1)
+                    hi = act(n2, p2)
                     yield None if lo.pointwise_leq(hi) else {
                         "posets": [name(a), name(b)],
                         "fneg": [list(n1.table), list(n2.table)],
@@ -595,17 +618,17 @@ def check_functor_laws(
         for xp, x, y, yp in itertools.product(posets, repeat=4):
             for u in maps_between(xp, x):
                 for v in maps_between(y, yp):
-                    for rp in _law_rels(xp):
-                        for r in _law_rels(x):
+                    for rp in law_rels(xp):
+                        for r in law_rels(x):
                             if not is_rel_morphism(u, rp, r):
                                 continue
-                            for s in _law_rels(y):
-                                for sp in _law_rels(yp):
+                            for s in law_rels(y):
+                                for sp in law_rels(yp):
                                     if not is_rel_morphism(v, s, sp):
                                         continue
-                                    m = act(f, u, v, caps)
-                                    big = eval_rel(f, r, s, caps)
-                                    small = eval_rel(f, rp, sp, caps)
+                                    m = act(u, v)
+                                    big = rel_act(r, s)
+                                    small = rel_act(rp, sp)
                                     ok = is_rel_morphism(m, big, small)
                                     yield None if ok else {
                                         "posets": [name(xp), name(x), name(y), name(yp)],

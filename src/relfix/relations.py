@@ -11,6 +11,12 @@ knows that layout.  Everything else goes through BinRel, whose pairs,
 matrix, sorted_pairs and len are views of the mask, and through
 PairTable, the action of an element map on pair bits: pull is the
 inverse image and push the direct image.
+
+A batch of masks is one 2-D uint8 array of packed rows, row i holding
+mask i in the little-endian layout of one packed mask (bit q in byte
+q // 8, at bit q % 8).  PairTable.pull_rows and push_rows map a whole
+batch with one unpack, column gather or scatter, and pack, at any
+width; masks_to_rows and rows_to_masks convert between the two forms.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ __all__ = [
     "rel_from_matrix",
     "bottom_index",
     "admissible_masks",
+    "masks_to_rows",
+    "rows_to_masks",
+    "rows_le",
     "diagonal",
     "total_rel",
     "bottom_rel",
@@ -60,6 +69,29 @@ def _unpack(mask: int, width: int) -> np.ndarray:
 
 def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _unpack_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """The low `width` bits of every packed row, bit 0 first, as 0/1 bytes."""
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+
+def masks_to_rows(masks: Iterable[int], width: int) -> np.ndarray:
+    """A batch of width-bit masks as packed rows, one row per mask."""
+    nbytes = (width + 7) // 8
+    data = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    return np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+
+
+def rows_to_masks(rows: np.ndarray) -> list[int]:
+    """The mask of every packed row, in row order."""
+    data, k = rows.tobytes(), rows.shape[1]
+    return [int.from_bytes(data[i : i + k], "little") for i in range(0, len(data), k)]
+
+
+def rows_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inclusion of packed masks, row against row (the rows broadcast)."""
+    return ~(a & ~b).any(axis=-1)
 
 
 def _set_bits(mask: int, width: int) -> list[int]:
@@ -142,13 +174,14 @@ class PairTable:
     """An element table t from a kx- to a ky-element carrier, acting on
     pair bits: bit x*kx + y goes to bit t[x]*ky + t[y]."""
 
-    __slots__ = ("kx", "ky", "arr", "_index")
+    __slots__ = ("kx", "ky", "arr", "_index", "_cols")
 
     def __init__(self, table: Sequence[int], ky: int):
         self.kx = kx = len(table)
         self.ky = ky
         self.arr = None
         self._index = None
+        self._cols = None
         if max(kx, ky) ** 2 > _INT_MAX_BITS:
             self.arr = np.asarray(table, dtype=np.int64)
         else:
@@ -161,6 +194,30 @@ class PairTable:
             a = self.arr
             self._index = (a[:, None] * self.ky + a[None, :]).ravel().tolist()
         return self._index
+
+    @property
+    def cols(self) -> np.ndarray:
+        """index as an array: the column gathered into each domain bit."""
+        if self._cols is None:
+            self._cols = np.asarray(self.index, dtype=np.intp)
+        return self._cols
+
+    def pull_rows(self, rows: np.ndarray) -> np.ndarray:
+        """pull applied to every row of a batch of packed codomain masks."""
+        bits = _unpack_rows(rows, self.ky * self.ky)
+        return np.packbits(bits[:, self.cols], axis=1, bitorder="little")
+
+    def push_rows(self, rows: np.ndarray) -> np.ndarray:
+        """push applied to every row of a batch of packed domain masks:
+        each image bit is the OR of the domain bits that land on it."""
+        cols = self.cols
+        order = np.argsort(cols, kind="stable")
+        targets = cols[order]
+        starts = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
+        bits = _unpack_rows(rows, self.kx * self.kx)
+        out = np.zeros((len(rows), self.ky * self.ky), dtype=np.uint8)
+        out[:, targets[starts]] = np.bitwise_or.reduceat(bits[:, order], starts, axis=1)
+        return np.packbits(out, axis=1, bitorder="little")
 
     def _images(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
         """Set bits of a domain mask and their codomain bits, as arrays."""

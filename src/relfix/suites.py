@@ -19,6 +19,9 @@ all finite intersections.
 from __future__ import annotations
 
 import itertools
+import time
+
+import numpy as np
 
 from .chain import build_chain, glue_family
 from .cofe import check_contractive
@@ -66,12 +69,14 @@ from .poset import (
 from .relations import (
     BinRel,
     admissible_masks,
-    bottom_index,
+    bottom_rel,
     diagonal,
     direct_image,
     inverse_image,
     is_rel_morphism,
+    masks_to_rows,
     pair_table,
+    rows_le,
     total_rel,
 )
 
@@ -124,6 +129,15 @@ def _all_maps(x: FinPoset, y: FinPoset) -> list:
     return [MonotoneMap(x, y, t) for t in enumerate_monotone_maps(x, y)]
 
 
+def _admissible_rows(posets: list) -> dict:
+    """Every admissible mask of each poset, as ints and as packed rows."""
+    out = {}
+    for p in posets:
+        masks = list(admissible_masks(p))
+        out[p] = (masks, masks_to_rows(masks, p.n * p.n))
+    return out
+
+
 def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     """The four morphism properties, exhaustive on the small-poset corpus.
 
@@ -133,24 +147,27 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
         pulled-mask equality, see module docstring);
     (4) f : R -> intersection of a family exactly when f is a morphism
         into every member (empty and binary families).
+
+    Each quantifier runs as array comparisons over the packed rows of
+    every admissible relation, one map at a time.
     """
     posets = small_pointed_posets()
-    rels = {p: list(admissible_masks(p)) for p in posets}
+    rels = _admissible_rows(posets)
     report: dict = {"corpus": [p.label or str(p.n) for p in posets], "properties": {}}
 
     count = 0
     ok = True
     for p in posets:
         idm = identity_map(p)
-        pt_id = pair_table(idm)
-        for s in rels[p]:
-            pulled = pt_id.pull(s)
-            for r in rels[p]:
-                count += 1
-                if ((r & ~pulled) == 0) != ((r & ~s) == 0):
-                    ok = False
+        masks, rows = rels[p]
+        pulled = pair_table(idm).pull_rows(rows)
+        count += len(rows) ** 2
+        if not np.array_equal(
+            rows_le(rows[:, None], pulled[None, :]), rows_le(rows[:, None], rows[None, :])
+        ):
+            ok = False
         # spot-check the actual operation on a deterministic stride
-        for i, (r, s) in enumerate(itertools.product(rels[p], rels[p])):
+        for i, (r, s) in enumerate(itertools.product(masks, masks)):
             if i % 97 == 0 and is_rel_morphism(
                 idm, BinRel(p, r), BinRel(p, s)
             ) != ((r & ~s) == 0):
@@ -160,47 +177,48 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     count = 0
     ok = True
     for x, y in itertools.product(posets, repeat=2):
+        rows = rels[y][1]
         for f in _all_maps(x, y):
-            for s in rels[y]:
-                count += 1
-                srel = BinRel(y, s)
-                pulled = inverse_image(f, srel)
-                if not is_rel_morphism(f, pulled, srel):
-                    ok = False
+            pt = pair_table(f)
+            count += len(rows)
+            if not rows_le(pt.push_rows(pt.pull_rows(rows)), rows).all():
+                ok = False
     report["properties"]["pullback_is_morphism"] = {"instances": count, "ok": ok}
 
     count = 0
     ok = True
     for x, y, z in itertools.product(posets, repeat=3):
+        rows = rels[z][1]
+        pulled_g = {g: pair_table(g).pull_rows(rows) for g in _all_maps(y, z)}
         for f in _all_maps(x, y):
             pt_f = pair_table(f)
-            for g in _all_maps(y, z):
-                pt_g = pair_table(g)
-                pt_gf = pair_table(g @ f)
-                for s in rels[z]:
-                    count += 1
-                    if pt_gf.pull(s) != pt_f.pull(pt_g.pull(s)):
-                        ok = False
+            for g, by_g in pulled_g.items():
+                count += len(rows)
+                if not np.array_equal(
+                    pair_table(g @ f).pull_rows(rows), pt_f.pull_rows(by_g)
+                ):
+                    ok = False
     report["properties"]["composition_transpose"] = {"instances": count, "ok": ok}
 
     count = 0
     ok = True
     for x, y in itertools.product(posets, repeat=2):
-        total_y = total_rel(y).mask
-        total_x = total_rel(x).mask
+        rows = rels[y][1]
+        total_y = masks_to_rows([total_rel(y).mask], y.n * y.n)
+        total_x = masks_to_rows([total_rel(x).mask], x.n * x.n)
+        # the unordered pairs {S1, S2}, each once
+        i, j = np.triu_indices(len(rows))
         for f in _all_maps(x, y):
             pt = pair_table(f)
             count += 1
-            if pt.pull(total_y) != total_x:
+            if not np.array_equal(pt.pull_rows(total_y), total_x):
                 ok = False
-            pulls = {s: pt.pull(s) for s in rels[y]}
-            for s1 in rels[y]:
-                for s2 in rels[y]:
-                    if s2 < s1:
-                        continue
-                    count += 1
-                    if pt.pull(s1 & s2) != pulls[s1] & pulls[s2]:
-                        ok = False
+            pulls = pt.pull_rows(rows)
+            count += len(i)
+            if not np.array_equal(
+                pt.pull_rows(rows[i] & rows[j]), pulls[i] & pulls[j]
+            ):
+                ok = False
     report["properties"]["meet_preservation"] = {"instances": count, "ok": ok}
 
     report["ok"] = all(v["ok"] for v in report["properties"].values())
@@ -208,34 +226,37 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
 
 
 def adjunction_suite(caps: Caps = DEFAULT_CAPS) -> dict:
-    """direct_image -| inverse_image, exhaustive on the same corpus."""
+    """direct_image -| inverse_image, exhaustive on the same corpus: the
+    (R, S) grid of each map is one array comparison."""
     posets = small_pointed_posets()
-    rels = {p: list(admissible_masks(p)) for p in posets}
+    rels = _admissible_rows(posets)
     count = 0
     ok = True
     witnesses = []
     for x, y in itertools.product(posets, repeat=2):
-        bot_y = 1 << bottom_index(y)
+        masks_x, rows_x = rels[x]
+        masks_y, rows_y = rels[y]
+        bot_y = masks_to_rows([bottom_rel(y).mask], y.n * y.n)
         for f in _all_maps(x, y):
             pt = pair_table(f)
-            pushes = {r: pt.push(r) | bot_y for r in rels[x]}
-            pulls = {s: pt.pull(s) for s in rels[y]}
-            for r in rels[x]:
-                pr = pushes[r]
-                for s in rels[y]:
-                    count += 1
-                    if ((pr & ~s) == 0) != ((r & ~pulls[s]) == 0):
-                        ok = False
-                        if len(witnesses) < 3:
-                            witnesses.append(
-                                {"f": list(f.table), "r": r, "s": s}
-                            )
+            pushes = pt.push_rows(rows_x) | bot_y
+            pulls = pt.pull_rows(rows_y)
+            count += len(rows_x) * len(rows_y)
+            bad = rows_le(pushes[:, None], rows_y[None, :]) != rows_le(
+                rows_x[:, None], pulls[None, :]
+            )
+            if bad.any():
+                ok = False
+                for r, s in np.argwhere(bad)[: 3 - len(witnesses)]:
+                    witnesses.append(
+                        {"f": list(f.table), "r": masks_x[r], "s": masks_y[s]}
+                    )
     # interface spot-check against the actual operations
     spot = 0
     for x, y in itertools.product(posets[:3], repeat=2):
         for f in _all_maps(x, y)[:2]:
-            for r in rels[x][:4]:
-                for s in rels[y][:4]:
+            for r in rels[x][0][:4]:
+                for s in rels[y][0][:4]:
                     spot += 1
                     lhs = direct_image(f, BinRel(x, r)) <= BinRel(y, s)
                     rhs = BinRel(x, r) <= inverse_image(f, BinRel(y, s))
@@ -494,15 +515,19 @@ def all_suites() -> dict:
     }
 
 
-def run_suite(name: str, caps: Caps = DEFAULT_CAPS) -> dict:
+def run_suite(name: str, caps: Caps = DEFAULT_CAPS, on_suite=None) -> dict:
     """Run one suite by name ('all' runs every standard suite;
-    'corrupted' runs the deliberately failing fixture)."""
+    'corrupted' runs the deliberately failing fixture).  With 'all',
+    on_suite(key, seconds) is called after each suite with its wall time."""
     if name == "corrupted":
         return corrupted_action_suite(caps=caps)
     if name == "all":
         out: dict = {"suites": {}, "ok": True}
         for key, fn in all_suites().items():
+            t0 = time.monotonic()
             rep = fn(caps=caps)
+            if on_suite is not None:
+                on_suite(key, time.monotonic() - t0)
             out["suites"][key] = rep
             if not rep["ok"]:
                 out["ok"] = False

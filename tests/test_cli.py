@@ -215,3 +215,14 @@ def test_timings_go_to_stderr_only():
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout stays pure JSON
     assert "solve:" in proc.stderr
+
+
+def test_check_timings_name_each_suite_and_leave_the_report_alone():
+    plain = run_cli("check", "--suite", "all")
+    timed = run_cli("check", "--suite", "all", "--timings")
+    assert plain.returncode == timed.returncode == 0, timed.stderr
+    assert timed.stdout == plain.stdout
+    assert plain.stderr == ""
+    names = [line.split(":")[0] for line in timed.stderr.splitlines()]
+    suites = ["lemma2", "functor_laws", "adjunction", "contractive", "karoubi", "duality"]
+    assert names == [f"check[{s}]" for s in suites + ["all"]]

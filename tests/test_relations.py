@@ -2,14 +2,32 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relfix.chain import build_chain
+from relfix.cofe import (
+    BLOCK_ROWS,
+    _forest_children,
+    _level_pis,
+    _pair_forest,
+    _tree_masks,
+    enumerate_uniform_masks,
+    uniform_mask_blocks,
+    uniform_space_size,
+)
 from relfix.errors import InadmissibleRelation, TypeMismatch
+from relfix.functor import One, SumSep, Var
 from relfix.poset import chain_poset, monotone_map
 from relfix.relations import (
     BinRel,
+    PairTable,
     bottom_rel,
     diagonal,
     direct_image,
@@ -17,9 +35,12 @@ from relfix.relations import (
     inverse_image,
     is_admissible,
     is_rel_morphism,
+    masks_to_rows,
     rel_from_pairs,
     rel_morphism_witness,
     require_admissible,
+    rows_le,
+    rows_to_masks,
     total_rel,
 )
 
@@ -168,3 +189,58 @@ def test_mask_operations_match_pair_set_semantics(case):
     assert hash(srel1) == hash(rel_from_pairs(y, sorted(s1)))
     escapes = [(i, j) for i, j in sorted(r) if (f(i), f(j)) not in s1]
     assert rel_morphism_witness(f, rel, srel1) == (escapes[0] if escapes else None)
+
+
+@st.composite
+def batch_cases(draw):
+    """An element table between carriers whose masks are 1, 9, 25, 81 or
+    144 bits wide, with a batch of masks on each end."""
+    kx, ky = (draw(st.sampled_from([1, 3, 5, 9, 12])) for _ in range(2))
+    table = draw(st.lists(st.integers(0, ky - 1), min_size=kx, max_size=kx))
+    batch = st.integers(min_value=0, max_value=5)
+    n_dom, n_cod = draw(batch), draw(batch)
+    dom = [draw(st.integers(0, (1 << kx * kx) - 1)) for _ in range(n_dom)]
+    cod = [draw(st.integers(0, (1 << ky * ky) - 1)) for _ in range(n_cod)]
+    return PairTable(table, ky), dom, cod
+
+
+@given(batch_cases())
+def test_batch_images_match_the_scalar_ones_row_by_row(case):
+    pt, dom, cod = case
+    wx, wy = pt.kx * pt.kx, pt.ky * pt.ky
+    cod_rows, dom_rows = masks_to_rows(cod, wy), masks_to_rows(dom, wx)
+    assert cod_rows.shape == (len(cod), (wy + 7) // 8)
+    assert rows_to_masks(cod_rows) == cod
+    assert rows_to_masks(pt.pull_rows(cod_rows)) == [pt.pull(m) for m in cod]
+    assert rows_to_masks(pt.push_rows(dom_rows)) == [pt.push(m) for m in dom]
+    assert rows_le(cod_rows[:, None], cod_rows[None, :]).tolist() == [
+        [(a | b) == b for b in cod] for a in cod
+    ]
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_mask_blocks_flatten_to_the_uniform_enumeration(depth):
+    # the oracle is the product over the trees below the root, taken one
+    # mask at a time, which is how the space is defined
+    chain = build_chain(SumSep(One(), Var()), depth)
+    level = depth - 1
+    parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
+    children = _forest_children(parent, root)
+    per_tree = [_tree_masks(children, c) for c in children[root]]
+    oracle = (
+        functools.reduce(operator.or_, combo, 1 << root)
+        for combo in itertools.product(*per_tree)
+    )
+
+    def flat():
+        for block in uniform_mask_blocks(chain, level):
+            assert block.dtype == np.uint8 and 0 < len(block) <= BLOCK_ROWS
+            yield from rows_to_masks(block)
+
+    count = 0
+    for got, enumerated, want in itertools.zip_longest(
+        flat(), enumerate_uniform_masks(chain, level), oracle
+    ):
+        assert got == enumerated == want
+        count += 1
+    assert count == uniform_space_size(chain, level)

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from relfix.chain import build_chain
+from relfix.cofe import check_contractive
+from relfix.engines import psi_step
 from relfix.suites import (
     all_suites,
     canonical_specs,
+    contractive_suite,
     corrupted_action_suite,
     duality_suite,
     functor_laws_suite,
+    lemma2_suite,
     run_suite,
     small_pointed_posets,
 )
@@ -69,3 +76,78 @@ def test_run_suite_dispatch():
     assert run_suite("corrupted")["ok"] is False
     with pytest.raises(KeyError):
         run_suite("nope")
+
+
+def _monotone_count(x, y) -> int:
+    """Monotone maps x -> y, by brute force over all tables."""
+    return sum(
+        all(y.le(t[a], t[b]) for a in range(x.n) for b in range(x.n) if x.le(a, b))
+        for t in itertools.product(range(y.n), repeat=x.n)
+    )
+
+
+def test_lemma2_instance_counts_match_their_closed_forms():
+    corpus = small_pointed_posets()
+    adm = {p: 2 ** (p.n * p.n - 1) for p in corpus}  # relations with the bottom pair
+    maps = {(x, y): _monotone_count(x, y) for x in corpus for y in corpus}
+    pairs = list(itertools.product(corpus, repeat=2))
+    want = {
+        "identity_iff_inclusion": sum(adm[p] ** 2 for p in corpus),
+        "pullback_is_morphism": sum(maps[x, y] * adm[y] for x, y in pairs),
+        "composition_transpose": sum(
+            maps[x, y] * maps[y, z] * adm[z]
+            for x, y, z in itertools.product(corpus, repeat=3)
+        ),
+        "meet_preservation": sum(
+            maps[x, y] * (1 + adm[y] * (adm[y] + 1) // 2) for x, y in pairs
+        ),
+    }
+    assert want == {
+        "identity_iff_inclusion": 131_137,
+        "pullback_is_morphism": 15_220,
+        "composition_transpose": 358_157,
+        "meet_preservation": 1_941_449,
+    }
+    report = lemma2_suite()
+    assert report["ok"] is True
+    got = {k: v["instances"] for k, v in report["properties"].items()}
+    assert got == want
+
+
+def test_contractive_suite_counts_and_identity_fixture():
+    report = contractive_suite()
+    assert report["ok"] is True
+    lazy = report["checks"]["lazy_nat_depth3"]
+    assert lazy["strategy"] == "sections"
+    assert lazy["enumerated"] == lazy["section_space"] == 1_285_000
+    fixture = report["checks"]["identity_op_fixture"]
+    assert fixture["enumerated"] == 6 and fixture["stopped_early"] is True
+    assert fixture["counterexamples"] == [
+        {"n": 1, "output_level": 1, "mask_a": 1, "mask_b": b}
+        for b in (257, 129, 385, 65, 321)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, depth, budgets",
+    [
+        ("lazy_nat", 1, {}),
+        # the depth-2 space is too large for the per-family path, so both
+        # runs sample it with the same seed
+        ("lazy_nat", 2, {"section_budget": 0, "samples": 2000}),
+        ("reflexive", 2, {}),
+    ],
+)
+def test_levelwise_contractive_check_matches_psi_step(name, depth, budgets):
+    # op=None computes each output level from its input level; op=psi_step
+    # applies the whole operator to each family.  Only the op label and
+    # whether the linear probes were compiled may differ.
+    chain = build_chain(canonical_specs()[name][0], depth)
+    levelwise = check_contractive(chain, **budgets)
+    per_family = check_contractive(chain, op=psi_step, **budgets)
+    assert levelwise["op"] == "psi" and per_family["op"] == "custom"
+    assert levelwise["ok"] is True and levelwise["enumerated"] > 0
+    drop = ("op", "compiled")
+    assert {k: v for k, v in levelwise.items() if k not in drop} == {
+        k: v for k, v in per_family.items() if k not in drop
+    }
