@@ -51,18 +51,7 @@ from .errors import (
     NotCauchy,
     TypeMismatch,
 )
-from .functor import (
-    Const,
-    Fun,
-    FunctorExpr,
-    Lift,
-    One,
-    Prod,
-    SumSep,
-    Var,
-    eval_rel,
-    to_src,
-)
+from .functor import eval_rel, to_src
 from .poset import FinPoset
 from .relations import (
     BinRel,
@@ -91,7 +80,6 @@ __all__ = [
     "enumerate_uniform_masks",
     "sample_uniform_masks",
     "family_from_mask",
-    "is_linear",
     "check_contractive",
 ]
 
@@ -423,84 +411,6 @@ def family_from_mask(chain: DomainChain, mask: int, level: int) -> RelFamily:
 
 
 # ---------------------------------------------------------------------------
-# compiled relational action
-# ---------------------------------------------------------------------------
-
-
-def _has_var(f: FunctorExpr) -> bool:
-    if isinstance(f, Var):
-        return True
-    if isinstance(f, (One, Const)):
-        return False
-    if isinstance(f, Lift):
-        return _has_var(f.body)
-    return _has_var(f.left) or _has_var(f.right)
-
-
-def is_linear(f: FunctorExpr) -> bool:
-    """True when R |-> eval_rel(f, R, R) distributes over unions of pairs.
-
-    Holds when no Fun node contains the variable and no Prod node has the
-    variable on both sides; the level action is then a base mask plus a
-    per-input-pair push, which the contractiveness check exploits.
-    """
-    if isinstance(f, (One, Const, Var)):
-        return True
-    if isinstance(f, Lift):
-        return is_linear(f.body)
-    if isinstance(f, SumSep):
-        return is_linear(f.left) and is_linear(f.right)
-    if isinstance(f, Prod):
-        if _has_var(f.left) and _has_var(f.right):
-            return False
-        return is_linear(f.left) and is_linear(f.right)
-    if isinstance(f, Fun):
-        return not (_has_var(f.left) or _has_var(f.right))
-    raise TypeMismatch("unknown functor node", node=type(f).__name__)
-
-
-def _compile_level_action(chain: DomainChain, m: int) -> list:
-    """Probe masks for level m: out(R) = OR of probe[q] over q in R.
-
-    Valid for linear functors; probe[q] is the action on the admissible
-    relation {bottom pair, q}, which already folds in the base term.
-    """
-    dom = chain.levels[m]
-    bot = 1 << bottom_index(dom)
-    probes = []
-    for q in range(dom.n * dom.n):
-        rel = BinRel(dom, bot | 1 << q)
-        probes.append(eval_rel(chain.functor, rel, rel, chain.caps).mask)
-    return probes
-
-
-def _apply_probes(probes: list, mask: int) -> int:
-    """The compiled action: OR of probes[q] over the set bits q of mask."""
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc |= probes[low.bit_length() - 1]
-        mask ^= low
-    return acc
-
-
-def _verify_compiled(chain: DomainChain, m: int, probes: list, seed: int) -> None:
-    dom = chain.levels[m]
-    rng = random.Random(seed ^ (m + 1))
-    for _ in range(5):
-        mask = 1 << bottom_index(dom)
-        for q in range(dom.n * dom.n):
-            if rng.random() < 0.4:
-                mask |= 1 << q
-        rel = BinRel(dom, mask)
-        direct = eval_rel(chain.functor, rel, rel, chain.caps)
-        if _apply_probes(probes, mask) != direct.mask:
-            raise InternalInvariantViolation(
-                "compiled relational action disagrees with eval_rel", level=m
-            )
-
-
-# ---------------------------------------------------------------------------
 # contractiveness
 # ---------------------------------------------------------------------------
 
@@ -596,8 +506,7 @@ def check_contractive(
     Masks arrive in blocks of packed rows, and each block is pulled to
     every key level in one batch.  The default operator runs levelwise:
     psi's output level m+1 is eval_rel(F, R_m, R_m), computed once per
-    distinct level-m input (through probe masks when the functor is
-    linear).  A custom op runs once per family.
+    distinct level-m input.  A custom op runs once per family.
 
     The implication is decided by grouping: for each n, families sharing
     the prefix below n must produce outputs sharing the prefix below n+1.
@@ -645,26 +554,14 @@ def check_contractive(
     # group index is depth-1, so inputs stop at depth-2.
     max_in = (depth - 1) if strategy != "sections" else (depth - 2)
 
-    compiled = None
-    if op is None and is_linear(chain.functor):
-        compiled = []
-        for m in range(max_in + 1):
-            probes = _compile_level_action(chain, m)
-            _verify_compiled(chain, m, probes, seed)
-            compiled.append(probes)
-    report["compiled"] = compiled is not None
-
     memo: dict = {}
 
     def out_level(m: int, in_mask: int) -> int:
         """Operator output at level m+1 as a mask, from input level m."""
         key = (m, in_mask)
         if key not in memo:
-            if compiled is not None:
-                memo[key] = _apply_probes(compiled[m], in_mask)
-            else:
-                rel = BinRel(chain.levels[m], in_mask)
-                memo[key] = eval_rel(chain.functor, rel, rel, chain.caps).mask
+            rel = BinRel(chain.levels[m], in_mask)
+            memo[key] = eval_rel(chain.functor, rel, rel, chain.caps).mask
         return memo[key]
 
     def run_op(mask: int) -> tuple:

@@ -25,6 +25,7 @@ from .chain import (
     DomainChain,
     RelFamily,
     bottom_family,
+    coherence_witness,
     glue_family,
     total_family,
 )
@@ -38,7 +39,6 @@ from .errors import (
 from .functor import eval_rel, to_src
 from .relations import (
     BinRel,
-    inverse_image,
     rel_morphism_witness,
     total_rel,
 )
@@ -145,14 +145,9 @@ def solve_kleene(chain: DomainChain) -> RelFamily:
     for m in range(chain.depth):
         rels.append(eval_rel(chain.functor, rels[m], rels[m], chain.caps))
     fam = RelFamily(tuple(rels), chain)
-    for m in range(chain.depth):
-        back = inverse_image(chain.steps[m].e, fam[m + 1])
-        if back != fam[m]:
-            raise CoherenceViolation(
-                "forward family is not coherent",
-                level=m,
-                difference=sorted(back.pairs ^ fam[m].pairs)[:5],
-            )
+    witness = coherence_witness(fam)
+    if witness is not None:
+        raise CoherenceViolation("forward family is not coherent", **witness)
     return fam
 
 
@@ -162,54 +157,41 @@ def solve_banach(
     """Iterate psi_step from a start family until stationary.
 
     Returns the fixed point and the stabilization profile: for each level
-    n, the first iteration index from which that level never changes
-    again.  Contractiveness makes level n stable from iteration n+1 at
-    the latest, and the recorded iterates must be Cauchy (iterates i and
-    j agree strictly below level n whenever i, j >= n); violations raise
-    NotContractive.
+    m, the first iteration index from which that level never changes
+    again, i.e. 1 + the last iteration that changed it (0 if none did).
+    Contractiveness makes level m stable from iteration m+1 at the latest;
+    a later level raises NotContractive.
+
+    That bound is the Cauchy modulus of the iterates, so they need no
+    further check: iterates i < j with i >= n agree at every level m < n,
+    since both are at or past profile[m] <= m+1 <= n and so equal the
+    fixed point there.  Only the current iterate is kept.
     """
     cur = start if start is not None else total_family(chain)
-    iterates = [cur]
+    levels = range(chain.depth + 1)
+    profile = [0] * len(levels)
+    iteration = 0
     while True:
         nxt = psi_step(chain, cur)
-        iterates.append(nxt)
-        if nxt == cur:
+        iteration += 1
+        changed = [m for m in levels if nxt[m] != cur[m]]
+        if not changed:
             break
+        for m in changed:
+            profile[m] = iteration
         cur = nxt
-        if len(iterates) - 1 > _ceiling(chain):
+        if iteration > _ceiling(chain):
             raise InternalInvariantViolation(
                 "Banach iteration exceeded its ceiling", ceiling=_ceiling(chain)
             )
-    fixed = iterates[-1]
-    profile = []
-    for m in range(chain.depth + 1):
-        first = len(iterates) - 1
-        while first > 0 and iterates[first - 1][m] == fixed[m]:
-            first -= 1
-        profile.append(first)
-    bad = [m for m in range(chain.depth + 1) if profile[m] > m + 1]
+    bad = [m for m in levels if profile[m] > m + 1]
     if bad:
         raise NotContractive(
             "levels stabilized later than the contractive bound",
             levels=bad,
             profile=profile,
         )
-    for n in range(len(iterates)):
-        for i in range(n, len(iterates)):
-            for j in range(i + 1, len(iterates)):
-                m = next(
-                    (m for m in range(min(n, chain.depth + 1))
-                     if iterates[i][m] != iterates[j][m]),
-                    None,
-                )
-                if m is not None:
-                    raise NotContractive(
-                        "iterates are not Cauchy",
-                        n=n,
-                        indices=(i, j),
-                        level=m,
-                    )
-    return fixed, profile
+    return nxt, profile
 
 
 def check_uniform(chain: DomainChain, rel) -> tuple[bool, dict | None]:

@@ -13,6 +13,7 @@ records counterexamples instead of crashing).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
@@ -222,8 +223,7 @@ def hat_functor_obj(
     f: FunctorExpr, a: KaroubiObj, caps: Caps = DEFAULT_CAPS
 ) -> FinPoset:
     """Object part of the free-splitting extension: the image of F(p)."""
-    fp = _hat_idem(f, a, caps)
-    return split_idempotent(fp).im
+    return _hat_split(f, a, caps).im
 
 
 def hat_functor_mor(
@@ -236,20 +236,22 @@ def hat_functor_mor(
     """Morphism part: im(Fp) --s--> FX --Fg--> FY --r--> im(Fq)."""
     if not karoubi_hom_check(g, a, b):
         raise TypeMismatch("not an envelope morphism", table=g.table)
-    sp = split_idempotent(_hat_idem(f, a, caps))
-    sq = split_idempotent(_hat_idem(f, b, caps))
+    sp = _hat_split(f, a, caps)
+    sq = _hat_split(f, b, caps)
     fg = eval_map(f, None, g, caps)
     return sq.r @ fg @ sp.s
 
 
-def _hat_idem(f: FunctorExpr, a: KaroubiObj, caps: Caps) -> Idempotent:
+@lru_cache(maxsize=None)
+def _hat_split(f: FunctorExpr, a: KaroubiObj, caps: Caps) -> Splitting:
+    """The splitting of the idempotent F(p), computed once per object."""
     if not is_covariant(f):
         raise TypeMismatch(
             "free splitting extension needs a covariant functor",
             functor=to_src(f),
         )
     carrier = eval_obj(f, a.X, a.X, caps)
-    return Idempotent(carrier, eval_map(f, None, a.p.mor, caps))
+    return split_idempotent(Idempotent(carrier, eval_map(f, None, a.p.mor, caps)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from relfix.cofe import (
     cofe_limit,
     enumerate_uniform_masks,
     family_from_mask,
-    is_linear,
     later_shift,
     n_equal,
     ofe_distance,
@@ -24,7 +23,6 @@ from relfix.cofe import (
 )
 from relfix.engines import psi_step, solve_kleene
 from relfix.errors import NotCauchy, TypeMismatch
-from relfix.functor import Fun, Lift, Prod, SumSep, Var
 from relfix.relations import BinRel, diagonal
 from relfix.suites import canonical_specs
 
@@ -158,21 +156,12 @@ def test_sampling_is_seeded_and_lands_in_the_space():
     assert set(a) <= universe
 
 
-def test_is_linear():
-    assert is_linear(SumSep(Var(), Var()))
-    assert is_linear(Lift(Var()))
-    assert not is_linear(Fun(Var(), Var()))
-    assert not is_linear(Lift(Fun(Var(), Var())))
-    assert not is_linear(Prod(Var(), Var()))
-
-
 def test_check_contractive_full_strategy():
     ch = small_lazy(1)
     report = check_contractive(ch)
     assert report["ok"] is True
     assert report["strategy"] == "full"
     assert report["counterexamples"] == []
-    assert report["compiled"] is True  # sum(one, D) has a linear action
 
 
 def test_check_contractive_catches_the_identity_operator():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from relfix.chain import (
@@ -9,6 +11,7 @@ from relfix.chain import (
     build_chain,
     diagonal_family,
     glue_family,
+    make_family,
     total_family,
 )
 from relfix.engines import (
@@ -21,7 +24,7 @@ from relfix.engines import (
 )
 from relfix.functor import Const, Lift, Prod, Var
 from relfix.poset import chain_poset
-from relfix.relations import total_rel
+from relfix.relations import BinRel, bottom_index, total_rel
 from relfix.suites import canonical_specs
 
 
@@ -62,6 +65,68 @@ def test_banach_stabilization_profile(chains):
     for ch in chains.values():
         _, profile = solve_banach(ch)
         assert profile == list(range(ch.depth + 1))
+
+
+def _random_family(chain, rng):
+    """Each level a uniform draw from the admissible masks of its carrier:
+    the bottom bit set and every other bit random (the 36-element level of
+    reflexive has 2^1295 of them, too many to list)."""
+    return make_family(
+        chain,
+        [
+            BinRel(c, rng.getrandbits(c.n * c.n) | 1 << bottom_index(c))
+            for c in chain.levels
+        ],
+    )
+
+
+def _iterates(chain, start):
+    """Every iterate of psi_step from start, up to the first repeat."""
+    seq = [start]
+    while len(seq) < 2 or seq[-1] != seq[-2]:
+        seq.append(psi_step(chain, seq[-1]))
+    return seq
+
+
+def _scanned_profile(iterates):
+    """Per level, the first index from which every iterate equals the last."""
+    fixed = iterates[-1]
+    profile = []
+    for m in range(len(fixed)):
+        first = len(iterates) - 1
+        while first > 0 and iterates[first - 1][m] == fixed[m]:
+            first -= 1
+        profile.append(first)
+    return profile
+
+
+def _cauchy_violation(iterates):
+    """The first (n, i, j, m) with n <= i < j and iterates i, j unequal at
+    a level m < n, or None when the iterates are Cauchy with modulus n."""
+    k = len(iterates)
+    for n in range(k):
+        for i in range(n, k):
+            for j in range(i + 1, k):
+                for m in range(min(n, len(iterates[0]))):
+                    if iterates[i][m] != iterates[j][m]:
+                        return n, i, j, m
+    return None
+
+
+@pytest.mark.parametrize("name", ["lazy_nat", "streams", "reflexive"])
+@pytest.mark.parametrize("seed", range(4))
+def test_banach_profile_is_the_scan_over_its_iterates(chains, name, seed):
+    # solve_banach keeps only its current iterate; the profile it tracks
+    # must equal the backward scan over all of them, and the iterates must
+    # pass the all-pairs Cauchy check that the profile bound makes redundant
+    ch = chains[name]
+    start = _random_family(ch, random.Random(seed))
+    fixed, profile = solve_banach(ch, start=start)
+    iterates = _iterates(ch, start)
+    assert fixed == iterates[-1]
+    assert profile == _scanned_profile(iterates)
+    assert any(profile), "no level changed, so an offset would not show"
+    assert _cauchy_violation(iterates) is None
 
 
 def test_banach_converges_from_distinct_starts(chains):
