@@ -72,6 +72,15 @@ def rel_pair_leq(a: RelPair, b: RelPair) -> bool:
     )
 
 
+def _psi(chain: DomainChain, neg: RelFamily, pos: RelFamily) -> RelFamily:
+    """The levelwise operator: level 0 is the total relation on the
+    one-point poset, level m+1 is eval_rel(F, neg[m], pos[m])."""
+    rels = [total_rel(chain.levels[0])]
+    for m in range(chain.depth):
+        rels.append(eval_rel(chain.functor, neg[m], pos[m], chain.caps))
+    return RelFamily(tuple(rels), chain)
+
+
 def psi_step(chain: DomainChain, fam: RelFamily) -> RelFamily:
     """One application of the relational operator.
 
@@ -79,21 +88,12 @@ def psi_step(chain: DomainChain, fam: RelFamily) -> RelFamily:
     eval_rel(F, R_n, R_n).  The level-n output depends only on input
     levels below n, which is the contractiveness mechanism.
     """
-    rels = [total_rel(chain.levels[0])]
-    for m in range(chain.depth):
-        rels.append(eval_rel(chain.functor, fam[m], fam[m], chain.caps))
-    return RelFamily(tuple(rels), chain)
+    return _psi(chain, fam, fam)
 
 
 def psi_pair_step(chain: DomainChain, pair: RelPair) -> RelPair:
     """The mixed-variance operator on L, applied levelwise."""
-    top = total_rel(chain.levels[0])
-    neg = [top]
-    pos = [top]
-    for m in range(chain.depth):
-        neg.append(eval_rel(chain.functor, pair.pos[m], pair.neg[m], chain.caps))
-        pos.append(eval_rel(chain.functor, pair.neg[m], pair.pos[m], chain.caps))
-    return RelPair(RelFamily(tuple(neg), chain), RelFamily(tuple(pos), chain))
+    return RelPair(_psi(chain, pair.pos, pair.neg), _psi(chain, pair.neg, pair.pos))
 
 
 def _ceiling(chain: DomainChain) -> int:
@@ -252,15 +252,14 @@ def compare_methods(chain: DomainChain) -> dict:
                 methods=(names[0], other),
                 difference=sorted(glued[names[0]].pairs ^ glued[other].pairs)[:5],
             )
-    fam = kleene
-    for m in range(chain.depth):
-        unfolded = eval_rel(chain.functor, fam[m], fam[m], chain.caps)
-        if unfolded != fam[m + 1]:
+    unfolded = psi_step(chain, kleene)
+    for m in range(chain.depth + 1):
+        if unfolded[m] != kleene[m]:
             raise MethodDisagreement(
                 "fixed-point equation fails",
                 methods=("unfolding",),
-                level=m + 1,
-                difference=sorted(unfolded.pairs ^ fam[m + 1].pairs)[:5],
+                level=m,
+                difference=sorted(unfolded[m].pairs ^ kleene[m].pairs)[:5],
             )
     uniform, uniform_witness = check_uniform(chain, glued["kleene"])
     return {
@@ -273,8 +272,8 @@ def compare_methods(chain: DomainChain) -> dict:
         "fixed_point_equation": True,
         "uniform": uniform,
         "uniform_witness": uniform_witness,
-        "family": [fam[m].sorted_pairs() for m in range(chain.depth + 1)],
+        "family": [kleene[m].sorted_pairs() for m in range(chain.depth + 1)],
         "glued": glued["kleene"].sorted_pairs(),
-        "_family": fam,
+        "_family": kleene,
         "_glued": glued["kleene"],
     }

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
     EquivalenceMismatch,
@@ -27,6 +29,7 @@ from .functor import FunctorExpr, eval_map, eval_obj, is_covariant, to_src
 from .poset import (
     FinPoset,
     MonotoneMap,
+    _check_size,
     const_map,
     enumerate_monotone_maps,
     identity_map,
@@ -97,16 +100,45 @@ def enumerate_canonical_idempotents(
 ) -> list:
     """E_D: every idempotent endomap pointwise below the identity.
 
+    Each member is built from its image (see _deflation_images).
     Deterministic (table-lexicographic) order.  Every member fixes the
     bottom, since p(bot) <= bot forces it.
     """
+    tables = sorted(table for _, table in _deflation_images(d, caps))
+    return [Idempotent(d, MonotoneMap(d, d, t)) for t in tables]
+
+
+def _deflation_images(d: FinPoset, caps: Caps) -> list:
+    """(image, table) of every deflation of d, by ascending image mask.
+
+    A deflation p is fixed by its image S: p(x) is the greatest member of
+    S below x.  So the deflations are the subsets S that contain the
+    bottom and give every x such a greatest member, and the scan reads p
+    off on the way.  There are 2^(n-1) candidates and E_D can have that
+    many members, so the count is checked against the carrier and
+    order-matrix caps before the scan.
+    """
+    candidates = 1 << (d.n - 1)
+    _check_size(candidates, caps, "E_D", candidates=candidates)
+    down = [
+        sum(1 << int(y) for y in np.flatnonzero(d.leq[:, x])) for x in range(d.n)
+    ]
     out = []
-    for table in enumerate_monotone_maps(d, d, max_count=caps.max_pairs):
-        if any(not d.le(v, x) for x, v in enumerate(table)):
+    for mask in range(1 << d.n):
+        if not (mask >> d.bottom) & 1:
             continue
-        if any(table[v] != v for v in table):
-            continue
-        out.append(Idempotent(d, MonotoneMap(d, d, table)))
+        table = []
+        for x in range(d.n):
+            below = mask & down[x]
+            # the canonical order is a linear extension, so a greatest
+            # member of `below` is its last one
+            top = below.bit_length() - 1
+            if below & ~down[top]:
+                break
+            table.append(top)
+        else:
+            members = tuple(v for v in range(d.n) if (mask >> v) & 1)
+            out.append((members, tuple(table)))
     return out
 
 
@@ -119,8 +151,10 @@ def idem_leq(p: Idempotent, q: Idempotent) -> bool:
     """
     if p.carrier != q.carrier:
         raise TypeMismatch("idempotents on different carriers")
-    cond_a = (p.mor @ q.mor == p.mor) and (q.mor @ p.mor == p.mor)
-    cond_b = q.mor @ p.mor @ q.mor == p.mor
+    pt, qt = p.mor.table, q.mor.table
+    pq = tuple(pt[v] for v in qt)
+    cond_a = pq == pt and tuple(qt[v] for v in pt) == pt
+    cond_b = tuple(qt[v] for v in pq) == pt
     if cond_a != cond_b:
         raise EquivalenceMismatch(
             "the two idempotent-order conditions disagree",
@@ -259,95 +293,61 @@ def _hat_split(f: FunctorExpr, a: KaroubiObj, caps: Caps) -> Splitting:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _ed_order(d: FinPoset, caps: Caps) -> tuple:
+    """E_D and its idempotent-order matrix, computed once per poset.
+
+    Every pair goes through idem_leq, so both order conditions are cross
+    asserted on all k^2 pairs.
+    """
+    idems = tuple(enumerate_canonical_idempotents(d, caps))
+    leq = np.array([[idem_leq(p, q) for q in idems] for p in idems], dtype=bool)
+    leq.setflags(write=False)
+    return idems, leq
+
+
+def _order_axioms(leq: np.ndarray) -> dict:
+    """Reflexivity, antisymmetry and transitivity of a boolean k x k matrix.
+
+    Transitivity is the boolean product leq . leq staying inside leq.
+    """
+    k = len(leq)
+    f = leq.astype(np.float32)
+    return {
+        "reflexive": bool(leq.diagonal().all()),
+        "antisymmetric": not (leq & leq.T & ~np.eye(k, dtype=bool)).any(),
+        "transitive": not ((f @ f > 0) & ~leq).any(),
+    }
+
+
 def ed_cpo_check(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     """E_D with the idempotent order is a pointed CPO; report the checks.
 
     Covers: partial-order axioms for idem_leq, monotonicity of the
-    inclusion into the pointwise endomap order, the constant-bottom map
-    as least element, and (finite rendering of the chain-completeness
-    proof) that the top of every maximal chain is its least upper bound
-    inside E_D.
+    inclusion into the pointwise endomap order, and the constant-bottom
+    map as least element.  Chain completeness needs no check of its own:
+    E_D is finite, so every chain in it is finite and its top is above
+    every other member, which leaves only top <= top, the reflexivity
+    already checked.
     """
-    idems = enumerate_canonical_idempotents(d, caps)
-    k = len(idems)
-    leq = [[idem_leq(p, q) for q in idems] for p in idems]
-    checks = {}
-    checks["reflexive"] = all(leq[i][i] for i in range(k))
-    checks["antisymmetric"] = all(
-        not (leq[i][j] and leq[j][i]) or i == j
-        for i in range(k)
-        for j in range(k)
-    )
-    checks["transitive"] = all(
-        not (leq[i][j] and leq[j][m]) or leq[i][m]
-        for i in range(k)
-        for j in range(k)
-        for m in range(k)
-    )
+    idems, leq = _ed_order(d, caps)
+    checks = _order_axioms(leq)
     checks["inclusion_monotone"] = all(
-        not leq[i][j] or idems[i].mor.pointwise_leq(idems[j].mor)
-        for i in range(k)
-        for j in range(k)
+        idems[i].mor.pointwise_leq(idems[j].mor) for i, j in zip(*np.nonzero(leq))
     )
-    bot = [i for i in range(k) if all(leq[i][j] for j in range(k))]
+    bot = np.flatnonzero(leq.all(axis=1))
     checks["pointed"] = (
         len(bot) >= 1
         and idems[bot[0]].mor.table == tuple([d.bottom] * d.n)
     )
-    # every maximal chain's top must be an upper bound of the chain in E_D
-    # (the finite rendering of chain completeness: the eventual value)
-    top_of_chain_is_lub = True
-    succs = [
-        [j for j in range(k) if leq[i][j] and i != j] for i in range(k)
-    ]
-
-    def chains_from(i, acc):
-        ext = [j for j in succs[i] if all(leq[m][j] for m in acc)]
-        if not ext:
-            yield acc
-            return
-        for j in ext:
-            yield from chains_from(j, acc + [j])
-
-    for start in bot:
-        for ch in chains_from(start, [start]):
-            top = ch[-1]
-            if not all(leq[m][top] for m in ch):
-                top_of_chain_is_lub = False
-    checks["chain_tops_are_lubs"] = top_of_chain_is_lub
     return {
         "poset_size": d.n,
-        "ed_size": k,
+        "ed_size": len(idems),
         "idempotents": [list(p.mor.table) for p in idems],
-        "order": [[bool(v) for v in row] for row in leq],
+        "order": leq.tolist(),
         "checks": checks,
         "ok": all(checks.values()),
     }
-
-
-def _ep_images(d: FinPoset) -> list:
-    """Bottom-containing subsets that are images of embeddings into d.
-
-    A subset works iff every element of d has a greatest lower member in
-    it (the projection); returned sorted for determinism.
-    """
-    out = []
-    for mask in range(1 << d.n):
-        if not (mask >> d.bottom) & 1:
-            continue
-        members = [v for v in range(d.n) if (mask >> v) & 1]
-        proj = []
-        good = True
-        for x in range(d.n):
-            below = [y for y in members if d.le(y, x)]
-            mx = [y for y in below if all(d.le(z, y) for z in below)]
-            if len(mx) != 1:
-                good = False
-                break
-            proj.append(mx[0])
-        if good:
-            out.append((tuple(members), tuple(proj)))
-    return out
 
 
 def ed_slice_equivalence(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
@@ -358,8 +358,8 @@ def ed_slice_equivalence(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     i(j(e)) equal to e on image representatives, the size bijection, and
     monotonicity of both directions (slice order: image inclusion).
     """
-    idems = enumerate_canonical_idempotents(d, caps)
-    images = _ep_images(d)
+    idems, leq = _ed_order(d, caps)
+    images = _deflation_images(d, caps)
     report = {
         "poset_size": d.n,
         "ed_size": len(idems),
@@ -386,21 +386,14 @@ def ed_slice_equivalence(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
             ok_back = False
             report["witnesses"].append({"image": list(members)})
     report["checks"]["i_after_j_identity_on_images"] = ok_back
-    report["checks"]["bijection"] = sorted(image_of_i) == sorted(
-        m for m, _ in images
-    ) and len(idems) == len(images)
-    mono_i = True
-    mono_j = True
-    for a, p in enumerate(idems):
-        for b, q in enumerate(idems):
-            pleq = idem_leq(p, q)
-            incl = set(image_of_i[a]) <= set(image_of_i[b])
-            if pleq and not incl:
-                mono_i = False
-            if incl and not pleq:
-                mono_j = False
-    report["checks"]["i_monotone"] = mono_i
-    report["checks"]["j_monotone"] = mono_j
+    report["checks"]["bijection"] = sorted(image_of_i) == sorted(m for m, _ in images)
+    # incl[a, b]: image a is inside image b, i.e. |a & b| = |a|
+    member = np.zeros((len(idems), d.n), dtype=np.float32)
+    for a, im in enumerate(image_of_i):
+        member[a, list(im)] = 1
+    incl = member @ member.T == member.sum(axis=1)[:, None]
+    report["checks"]["i_monotone"] = not (leq & ~incl).any()
+    report["checks"]["j_monotone"] = not (incl & ~leq).any()
     report["ok"] = all(report["checks"].values())
     return report
 

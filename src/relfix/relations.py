@@ -270,18 +270,13 @@ def pair_table(f: MonotoneMap) -> PairTable:
     return PairTable(f.table, f.cod.n)
 
 
-def rel_from_pairs(
-    carrier: FinPoset, pairs: Iterable[tuple[int, int]], require: bool = False
-) -> BinRel:
+def rel_from_pairs(carrier: FinPoset, pairs: Iterable[tuple[int, int]]) -> BinRel:
     n = carrier.n
     ps = [(int(a), int(b)) for a, b in pairs]
     for a, b in ps:
         if not (0 <= a < n and 0 <= b < n):
             raise TypeMismatch("relation pair out of range", pair=(a, b), size=n)
-    rel = BinRel(carrier, _mask_of((a * n + b for a, b in ps), n * n))
-    if require:
-        require_admissible(rel, "rel_from_pairs")
-    return rel
+    return BinRel(carrier, _mask_of((a * n + b for a, b in ps), n * n))
 
 
 def rel_from_matrix(carrier: FinPoset, m: np.ndarray) -> BinRel:

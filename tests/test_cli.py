@@ -20,12 +20,15 @@ SPECS = HERE / "specs"
 GOLDEN = HERE / "golden"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
+    """Run the CLI; past `timeout` seconds subprocess.TimeoutExpired fails the
+    test instead of letting it hang."""
     return subprocess.run(
         [sys.executable, "-m", "relfix.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -143,6 +146,23 @@ def test_karoubi_chain5_completes_with_oversized_audits_skipped():
     result = json.loads(proc.stdout)["result"]
     assert result["ed_size"] == 16
     assert all("skipped" in audit for audit in result["claim_audit"])
+
+
+def test_karoubi_over_the_order_matrix_cap_exits_3_with_the_candidate_count():
+    # 2^12 candidate images; an E_D that large would need a 4096^2 order
+    # matrix, over the default 10^7 pair cap
+    proc = run_cli("karoubi", "--poset", "chain(13)", timeout=5)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "candidates=4096" in proc.stderr
+
+
+def test_karoubi_chain10_completes_within_its_budget():
+    proc = run_cli("karoubi", "--poset", "chain(10)", timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["ed_size"] == 512
+    assert result["cpo"]["ok"] and result["slice_equivalence"]["ok"]
 
 
 def test_check_suite_passes_and_fails_by_exit_code():

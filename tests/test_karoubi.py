@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from relfix.errors import (
@@ -17,6 +18,7 @@ from relfix.karoubi import (
     Idempotent,
     KaroubiObj,
     Splitting,
+    _order_axioms,
     ed_cpo_check,
     ed_slice_equivalence,
     enumerate_canonical_idempotents,
@@ -33,12 +35,15 @@ from relfix.karoubi import (
 from relfix.poset import (
     chain_poset,
     const_map,
+    enumerate_monotone_maps,
     identity_map,
     monotone_map,
     one,
+    small_pointed_posets,
     validate_poset,
 )
 from relfix.relations import diagonal, inverse_image
+from relfix.suites import diamond
 
 C2 = chain_poset(2)
 C3 = chain_poset(3)
@@ -73,6 +78,70 @@ def test_ed_matches_brute_force_on_chains():
     assert len(enumerate_canonical_idempotents(C3)) == 4
     assert len(enumerate_canonical_idempotents(one())) == 1
     assert len(enumerate_canonical_idempotents(chain_poset(5))) == 16
+
+
+ORACLE_POSETS = small_pointed_posets() + [
+    diamond(),
+    validate_poset(4, [(0, 1), (0, 2), (0, 3)], 0, label="claw"),
+    chain_poset(4),
+    chain_poset(5),
+    validate_poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], 0, label="pentagon"),
+    validate_poset(5, [(0, 1), (0, 2), (1, 3), (1, 4)], 0, label="fork"),
+]
+
+
+def endomap_filter_deflations(d) -> list:
+    """E_D by filtering every monotone endomap for the idempotents below
+    the identity, in table order."""
+    return [
+        t
+        for t in enumerate_monotone_maps(d, d)
+        if all(d.le(v, x) for x, v in enumerate(t)) and all(t[v] == v for v in t)
+    ]
+
+
+@pytest.mark.parametrize("d", ORACLE_POSETS, ids=repr)
+def test_ed_from_images_matches_the_endomap_filter(d):
+    got = [p.mor.table for p in enumerate_canonical_idempotents(d)]
+    assert got == endomap_filter_deflations(d)
+
+
+def triple_loop_axioms(leq) -> dict:
+    k = len(leq)
+    return {
+        "reflexive": all(leq[i][i] for i in range(k)),
+        "antisymmetric": all(
+            not (leq[i][j] and leq[j][i]) or i == j for i in range(k) for j in range(k)
+        ),
+        "transitive": all(
+            not (leq[i][j] and leq[j][m]) or leq[i][m]
+            for i in range(k)
+            for j in range(k)
+            for m in range(k)
+        ),
+    }
+
+
+def test_matrix_order_axioms_match_the_triple_loop():
+    for d in ORACLE_POSETS:
+        report = ed_cpo_check(d)
+        want = triple_loop_axioms(report["order"])
+        assert {key: report["checks"][key] for key in want} == want
+    # random relations and their reflexive-transitive closures, so that
+    # every axiom is seen failing as well as holding
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(300):
+        k = int(rng.integers(1, 7))
+        leq = rng.random((k, k)) < rng.random()
+        if rng.random() < 0.5:
+            leq |= np.eye(k, dtype=bool)
+            for m in range(k):
+                leq |= np.outer(leq[:, m], leq[m, :])
+        want = triple_loop_axioms(leq.tolist())
+        assert _order_axioms(leq) == want, leq
+        seen.update((key, value) for key, value in want.items())
+    assert seen == {(key, value) for key in want for value in (False, True)}
 
 
 def test_ed_tables_on_the_three_chain():
