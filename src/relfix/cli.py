@@ -37,6 +37,7 @@ from .errors import (
     ResolveError,
     SizeCapExceeded,
 )
+from .functor import rel_cache_counts
 from .karoubi import (
     KaroubiObj,
     ed_cpo_check,
@@ -160,6 +161,7 @@ def cmd_solve(args) -> int:
 def cmd_relate(args) -> int:
     spec, depth, caps, seed = _load_spec(args)
     t0 = time.monotonic()
+    before = dict(rel_cache_counts)
     chain = build_chain(spec.functor, depth, caps)
     if args.method == "all":
         result = compare_methods(chain)
@@ -189,6 +191,8 @@ def cmd_relate(args) -> int:
     result["sizes"] = [p.n for p in chain.levels]
     if args.timings:
         print(f"relate[{args.method}]: {time.monotonic() - t0:.3f}s", file=sys.stderr)
+        calls, hits = (rel_cache_counts[k] - before[k] for k in ("calls", "hits"))
+        print(f"eval_rel: {calls} calls, {hits} answered by the last-call cache", file=sys.stderr)
     _emit(args, make_report("relate", spec.source, seed, result))
     return EXIT_OK
 

@@ -53,16 +53,18 @@ __all__ = [
 
 
 def _heights(leq: np.ndarray) -> np.ndarray:
-    """Longest-chain height of each element, computed from a raw matrix."""
+    """Longest-chain height of each element, computed from a raw matrix:
+    the minimal elements of what is left form the next height layer."""
     n = leq.shape[0]
-    down_sizes = leq.sum(axis=0)
-    order = np.argsort(down_sizes, kind="stable")
+    lt = leq & ~np.eye(n, dtype=bool)
     heights = np.zeros(n, dtype=np.int64)
-    for i in order:
-        below = np.flatnonzero(leq[:, i])
-        below = below[below != i]
-        if below.size:
-            heights[i] = heights[below].max() + 1
+    left = np.ones(n, dtype=bool)
+    for h in range(n):
+        layer = left & ~lt[left].any(axis=0)
+        heights[layer] = h
+        left &= ~layer
+        if not left.any():
+            break
     return heights
 
 
@@ -246,7 +248,11 @@ class MonotoneMap:
         """(f @ g)(x) = f(g(x))."""
         if other.cod != self.dom:
             raise TypeMismatch("composition domain mismatch")
-        return MonotoneMap(other.dom, self.cod, tuple(self.table[v] for v in other.table))
+        # both tables hold ints already, so __init__'s int pass is skipped
+        out = MonotoneMap.__new__(MonotoneMap)
+        out.dom, out.cod, out._arr, out._hash = other.dom, self.cod, None, None
+        out.table = tuple(map(self.table.__getitem__, other.table))
+        return out
 
     def __eq__(self, other) -> bool:
         return (

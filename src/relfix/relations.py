@@ -174,7 +174,7 @@ class PairTable:
     """An element table t from a kx- to a ky-element carrier, acting on
     pair bits: bit x*kx + y goes to bit t[x]*ky + t[y]."""
 
-    __slots__ = ("kx", "ky", "arr", "_index", "_cols")
+    __slots__ = ("kx", "ky", "arr", "_index", "_cols", "_injective")
 
     def __init__(self, table: Sequence[int], ky: int):
         self.kx = kx = len(table)
@@ -182,6 +182,7 @@ class PairTable:
         self.arr = None
         self._index = None
         self._cols = None
+        self._injective = None
         if max(kx, ky) ** 2 > _INT_MAX_BITS:
             self.arr = np.asarray(table, dtype=np.int64)
         else:
@@ -239,8 +240,18 @@ class PairTable:
     def push(self, mask: int) -> int:
         """The image bits of the set bits of mask."""
         if self.arr is not None:
+            if self._injective is None:
+                self._injective = len(set(self.arr.tolist())) == self.kx
             out = np.zeros(self.ky * self.ky, dtype=bool)
-            out[self._images(mask)[1]] = True
+            if self._injective:
+                # distinct pairs land on distinct pairs: scatter the columns,
+                # then the rows, along the table; no kx*kx index is built
+                a, kx = self.arr, self.kx
+                half = np.zeros((kx, self.ky), dtype=bool)
+                half[:, a] = _unpack(mask, kx * kx).reshape(kx, kx)
+                out.reshape(self.ky, self.ky)[a] = half
+            else:
+                out[self._images(mask)[1]] = True
             return _pack(out)
         index = self._index
         out = 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,18 @@ def test_timings_go_to_stderr_only():
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout stays pure JSON
     assert "solve:" in proc.stderr
+    # relate adds the eval_rel counts, and its report is the untimed one
+    spec = str(SPECS / "lazy_nat.spec")
+    plain = run_cli("relate", "--spec", spec)
+    timed = run_cli("relate", "--spec", spec, "--timings")
+    assert plain.returncode == timed.returncode == 0, timed.stderr
+    assert timed.stdout == plain.stdout
+    assert plain.stderr == ""
+    lines = timed.stderr.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["relate[all]", "eval_rel"]
+    m = re.fullmatch(r"eval_rel: (\d+) calls, (\d+) answered by the last-call cache", lines[1])
+    assert m is not None, lines[1]
+    assert 0 < int(m.group(2)) < int(m.group(1))
 
 
 def test_check_timings_name_each_suite_and_leave_the_report_alone():

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import pytest
 
-from relfix.errors import InadmissibleRelation, LawViolation, TypeMismatch
+from relfix import engines, functor
+from relfix.chain import build_chain
+from relfix.config import DEFAULT_CAPS, Caps
+from relfix.engines import compare_methods
+from relfix.errors import (
+    InadmissibleRelation,
+    LawViolation,
+    SizeCapExceeded,
+    TypeMismatch,
+)
 from relfix.functor import (
     Const,
     Fun,
@@ -27,7 +37,13 @@ from relfix.functor import (
     var_polarities,
 )
 from relfix.poset import chain_poset, identity_map, one
-from relfix.relations import bottom_rel, diagonal, rel_from_pairs, total_rel
+from relfix.relations import (
+    bottom_rel,
+    diagonal,
+    rel_from_matrix,
+    rel_from_pairs,
+    total_rel,
+)
 
 C2 = chain_poset(2)
 
@@ -111,6 +127,84 @@ def test_eval_rel_of_diagonals_is_the_diagonal():
 def test_eval_rel_rejects_inadmissible_inputs():
     with pytest.raises(InadmissibleRelation):
         eval_rel(LAZY, rel_from_pairs(C2, [(1, 1)]), rel_from_pairs(C2, [(1, 1)]))
+
+
+def _slot(f, rneg, spos, caps):
+    """The last-call cache slot of an eval_rel call."""
+    return (f, caps) + tuple(None if r is None else r.carrier for r in (rneg, spos))
+
+
+@pytest.fixture
+def fresh_rel_cache(monkeypatch):
+    """An empty last-call cache, and a count of the _eval_rel runs that
+    answer eval_rel calls (recursive runs inside one call not counted)."""
+    monkeypatch.setattr(functor, "_last_rel", {})
+    runs = [0]
+    depth = [0]
+    real = functor._eval_rel
+
+    def counted(*args):
+        runs[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(functor, "_eval_rel", counted)
+    return runs
+
+
+@pytest.mark.parametrize("f, depth", [(LAZY, 40), (REFLEX, 3)])
+def test_eval_rel_runs_once_per_change_of_inputs_at_a_slot(
+    monkeypatch, fresh_rel_cache, f, depth
+):
+    calls = []
+
+    def recorded(f, rneg, spos, caps=DEFAULT_CAPS):
+        calls.append((f, rneg, spos, caps))
+        return eval_rel(f, rneg, spos, caps)
+
+    monkeypatch.setattr(engines, "eval_rel", recorded)
+    compare_methods(build_chain(f, depth))
+    # the oracle: a call runs _eval_rel exactly when its inputs differ
+    # from those of the previous call at the same slot
+    last, changed = {}, 0
+    for g, rneg, spos, caps in calls:
+        slot = _slot(g, rneg, spos, caps)
+        changed += last.get(slot) != (rneg, spos)
+        last[slot] = (rneg, spos)
+    assert 0 < changed < len(calls)
+    assert fresh_rel_cache[0] == changed
+    assert set(functor._last_rel) == set(last)
+
+
+def test_eval_rel_answers_interleaved_calls_like_a_fresh_run(fresh_rel_cache):
+    c3 = chain_poset(3)
+    pools = [
+        [bottom_rel(p), diagonal(p), rel_from_matrix(p, p.leq), total_rel(p)]
+        for p in (C2, c3)
+    ]
+    rels = pools[0] + pools[1]
+    caps_pair = (DEFAULT_CAPS, Caps(max_elements=10_000))
+    instances = list(itertools.product((REFLEX, Fun(Var(), Var())), caps_pair, rels, rels))
+    # each instance twice in a row, then the whole list again with neg and
+    # pos swapped, then once more in the first order
+    seq = [i for i in instances for _ in range(2)]
+    seq += [(f, caps, s, r) for f, caps, r, s in instances] + instances
+    for f, caps, r, s in seq:
+        assert eval_rel(f, r, s, caps) == functor._eval_rel(f, r, s, caps)
+    slots = {_slot(f, r, s, caps) for f, caps, r, s in instances}
+    assert set(functor._last_rel) == slots
+
+
+def test_a_call_over_its_cap_leaves_no_cache_entry(fresh_rel_cache):
+    f = Prod(Var(), Var())
+    c3 = chain_poset(3)
+    with pytest.raises(SizeCapExceeded):
+        eval_rel(f, None, total_rel(c3), Caps(max_pairs=50))
+    assert functor._last_rel == {}
+    assert fresh_rel_cache[0] == 1
 
 
 def test_eval_ep_produces_valid_pairs():

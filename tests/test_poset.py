@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relfix.chain import build_chain
 from relfix.config import Caps
 from relfix.errors import (
     NoLeastElement,
@@ -27,10 +28,13 @@ from relfix.poset import (
     lift,
     monotone_map,
     one,
+    _heights,
     product,
+    small_pointed_posets,
     sum_sep,
     validate_poset,
 )
+from relfix.suites import canonical_specs
 
 
 @st.composite
@@ -107,6 +111,36 @@ def test_canonicalization_sorts_by_height(p: FinPoset):
     heights = [height(x) for x in range(p.n)]
     assert heights == sorted(heights)
     assert p.bottom == 0
+
+
+def _heights_by_loop(leq: np.ndarray) -> np.ndarray:
+    """Heights one element at a time in order of down-set size, each one
+    more than the highest element strictly below it."""
+    n = leq.shape[0]
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    heights = np.zeros(n, dtype=np.int64)
+    for i in order:
+        below = np.flatnonzero(leq[:, i])
+        below = below[below != i]
+        if below.size:
+            heights[i] = heights[below].max() + 1
+    return heights
+
+
+@given(pointed_posets(), st.randoms(use_true_random=False))
+def test_heights_match_the_element_loop_on_relabelled_orders(p: FinPoset, rnd):
+    perm = list(range(p.n))
+    rnd.shuffle(perm)
+    raw = p.leq[np.ix_(perm, perm)]
+    assert _heights(raw).tolist() == _heights_by_loop(raw).tolist()
+
+
+def test_heights_match_the_element_loop_on_the_corpus_and_the_chains():
+    posets = list(small_pointed_posets())
+    for f, depth in canonical_specs().values():
+        posets += build_chain(f, depth).levels
+    for p in posets:
+        assert _heights(p.leq).tolist() == _heights_by_loop(p.leq).tolist()
 
 
 def test_monotone_map_rejects_order_violations():

@@ -193,20 +193,25 @@ def test_mask_operations_match_pair_set_semantics(case):
 
 @st.composite
 def batch_cases(draw):
-    """An element table between carriers whose masks are 1, 9, 25, 81 or
-    144 bits wide, with a batch of masks on each end."""
-    kx, ky = (draw(st.sampled_from([1, 3, 5, 9, 12])) for _ in range(2))
-    table = draw(st.lists(st.integers(0, ky - 1), min_size=kx, max_size=kx))
+    """An element table between carriers whose masks are 1 to 400 bits
+    wide (injective, drawn without replacement, or arbitrary), with a
+    batch of masks on each end."""
+    kx, ky = (draw(st.sampled_from([1, 3, 5, 9, 10, 12, 20])) for _ in range(2))
+    if draw(st.booleans()):
+        kx, ky = min(kx, ky), max(kx, ky)
+        table = draw(st.permutations(range(ky)))[:kx]
+    else:
+        table = draw(st.lists(st.integers(0, ky - 1), min_size=kx, max_size=kx))
     batch = st.integers(min_value=0, max_value=5)
     n_dom, n_cod = draw(batch), draw(batch)
     dom = [draw(st.integers(0, (1 << kx * kx) - 1)) for _ in range(n_dom)]
     cod = [draw(st.integers(0, (1 << ky * ky) - 1)) for _ in range(n_cod)]
-    return PairTable(table, ky), dom, cod
+    return table, PairTable(table, ky), dom, cod
 
 
 @given(batch_cases())
 def test_batch_images_match_the_scalar_ones_row_by_row(case):
-    pt, dom, cod = case
+    _, pt, dom, cod = case
     wx, wy = pt.kx * pt.kx, pt.ky * pt.ky
     cod_rows, dom_rows = masks_to_rows(cod, wy), masks_to_rows(dom, wx)
     assert cod_rows.shape == (len(cod), (wy + 7) // 8)
@@ -216,6 +221,26 @@ def test_batch_images_match_the_scalar_ones_row_by_row(case):
     assert rows_le(cod_rows[:, None], cod_rows[None, :]).tolist() == [
         [(a | b) == b for b in cod] for a in cod
     ]
+
+
+def _images_push(pt: PairTable, mask: int) -> int:
+    """push as a scatter of the images of the set bits, the numpy path
+    every table took before injective ones got their own scatter."""
+    out = np.zeros(pt.ky * pt.ky, dtype=bool)
+    out[pt._images(mask)[1]] = True
+    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
+
+
+@given(batch_cases())
+def test_push_is_the_pair_image_on_both_kinds_of_table(case):
+    table, pt, dom, _ = case
+    for mask in dom:
+        pairs = [divmod(q, pt.kx) for q in range(pt.kx * pt.kx) if mask >> q & 1]
+        image = {(table[x], table[y]) for x, y in pairs}
+        assert pt.push(mask) == sum(1 << (a * pt.ky + b) for a, b in image)
+        if pt.arr is not None:
+            assert pt.push(mask) == _images_push(pt, mask)
+            assert pt._injective == (len(set(table)) == len(table))
 
 
 @pytest.mark.parametrize("depth", [2, 3])
