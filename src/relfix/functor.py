@@ -518,6 +518,15 @@ def _law_rels(p: FinPoset) -> list[BinRel]:
     return list(dict.fromkeys(rels))
 
 
+def _tables(outs: list):
+    """The tables of outs as one array, then their dom and cod; None unless
+    outs are MonotoneMaps of one type."""
+    types = {(m.dom, m.cod) if isinstance(m, MonotoneMap) else None for m in outs}
+    if len(types) == 1 and None not in types:
+        return (np.array([m.table for m in outs], dtype=np.int64), *types.pop())
+    return None
+
+
 def check_functor_laws(
     f: FunctorExpr,
     budget: int = 20_000,
@@ -535,132 +544,173 @@ def check_functor_laws(
 
     The action argument substitutes an alternative morphism action with
     eval_map's signature (used to exercise deliberately broken actions).
+
+    A law runs one block of posets (a tuple of its outer product) at a
+    time: its instances, in nested-loop order and cut at the budget, are
+    index rows into monotone-map tables, and one array comparison over the
+    actions' results flags failing rows, which MonotoneMap and BinRel
+    operations recheck in order for the witness.  Results of mixed types
+    (or errors) flag their whole block, so broken actions fail as they
+    would instance by instance.
     """
     act_fn = action if action is not None else eval_map
     posets = pool if pool is not None else small_pointed_posets()
-    maps_cache: dict = {}
-    act_memo: dict = {}
-    rel_memo: dict = {}
-    rels_memo: dict = {}
+    act = lru_cache(maxsize=None)(lambda neg, pos: act_fn(f, neg, pos, caps))
+    rel_act = lru_cache(maxsize=None)(lambda r, s: eval_rel(f, r, s, caps))
+    law_rels = lru_cache(maxsize=None)(_law_rels)
 
-    # The actions and relational actions are memoised for this call.  The
-    # instance generators consult the memos as they go, so instances past
-    # a law's budget compute nothing.
-    def act(neg: MonotoneMap, pos: MonotoneMap) -> MonotoneMap:
-        key = (neg, pos)
-        if key not in act_memo:
-            act_memo[key] = act_fn(f, neg, pos, caps)
-        return act_memo[key]
+    @lru_cache(maxsize=None)
+    def maps_between(x: FinPoset, y: FinPoset):
+        """The monotone maps x -> y, their tables as one array, and the tables'
+        codes in radix y.n (ascending: the enumeration is lexicographic)."""
+        tables = list(enumerate_monotone_maps(x, y))
+        arr = np.array(tables, dtype=np.int64).reshape(len(tables), x.n)
+        return [MonotoneMap(x, y, t) for t in tables], arr, arr @ y.n ** np.arange(x.n)[::-1]
 
-    def rel_act(r: BinRel, s: BinRel) -> BinRel:
-        key = (r, s)
-        if key not in rel_memo:
-            rel_memo[key] = eval_rel(f, r, s, caps)
-        return rel_memo[key]
+    def composite(x, y, z, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Each (g-th map y -> z) @ (h-th map x -> y) as an index into x -> z."""
+        tables = maps_between(y, z)[1][g[:, None], maps_between(x, y)[1][h]]
+        return np.searchsorted(maps_between(x, z)[2], tables @ z.n ** np.arange(x.n)[::-1])
 
-    def law_rels(p: FinPoset) -> list[BinRel]:
-        if p not in rels_memo:
-            rels_memo[p] = _law_rels(p)
-        return rels_memo[p]
+    @lru_cache(maxsize=None)
+    def morphisms(x: FinPoset, y: FinPoset) -> np.ndarray:
+        """[m, r, s]: the m-th map x -> y is a morphism from the r-th law
+        relation on x to the s-th one on y."""
+        return np.array([[[is_rel_morphism(m, r, s) for s in law_rels(y)] for r in law_rels(x)]
+                         for m in maps_between(x, y)[0]])
 
-    def maps_between(x: FinPoset, y: FinPoset) -> list[MonotoneMap]:
-        key = (x, y)
-        if key not in maps_cache:
-            maps_cache[key] = [
-                MonotoneMap(x, y, t) for t in enumerate_monotone_maps(x, y)
-            ]
-        return maps_cache[key]
+    def batch(fn, xs: list, ys: list, xi: np.ndarray, yi: np.ndarray):
+        """fn once per distinct pair (xs[i], ys[j]) of the rows (i, j): each
+        row's index into the results, and the results (errors included)."""
+        code = xi * len(ys) + yi
+        seen = np.zeros(len(xs) * len(ys), dtype=bool)
+        seen[code] = True
+        outs = []
+        for c in np.flatnonzero(seen).tolist():
+            try:
+                outs.append(fn(xs[c // len(ys)], ys[c % len(ys)]))
+            except Exception as exc:  # raised again by the recheck
+                outs.append(exc)
+        return (np.cumsum(seen) - 1)[code], outs
 
     def name(p: FinPoset) -> str:
         return p.label or f"poset{p.n}"
 
     report: dict = {
-        "functor": to_src(f),
-        "pool": [name(p) for p in posets],
-        "budget": budget,
-        "laws": {},
+        "functor": to_src(f), "pool": [name(p) for p in posets], "budget": budget, "laws": {}
     }
 
-    def run(law: str, instances) -> None:
-        count = 0
-        complete = True
-        for witness in instances:
-            if count >= budget:
+    def run(law: str, arity: int, block) -> None:
+        """block(*posets, room) checks the first `room` instances of its
+        block and returns how many the block has."""
+        count, complete = 0, True
+        for ps in itertools.product(posets, repeat=arity):
+            room = max(budget - count, 0)
+            total = block(*ps, room)
+            count += min(total, room)
+            if total > room:
                 complete = False
                 break
-            count += 1
-            if witness is not None:
-                raise LawViolation(f"functor law failed: {law}", law=law, **witness)
         report["laws"][law] = {"instances": count, "complete": complete}
 
-    def identity_instances():
-        for x, y in itertools.product(posets, repeat=2):
+    def recheck(law: str, flagged: np.ndarray, witness) -> None:
+        for k in np.flatnonzero(flagged).tolist():
+            w = witness(k)
+            if w is not None:
+                raise LawViolation(f"functor law failed: {law}", law=law, **w)
+
+    def identity(x, y, room):
+        def witness(k):
             m = act(identity_map(x), identity_map(y))
-            yield None if m.is_identity() else {
+            return None if m.is_identity() else {
                 "neg": name(x), "pos": name(y), "image": list(m.table)
             }
 
-    def composition_instances():
-        for a, b, c in itertools.product(posets, repeat=3):
-            for fn1 in maps_between(b, a):
-                for fn2 in maps_between(c, b):
-                    for fp1 in maps_between(a, b):
-                        for fp2 in maps_between(b, c):
-                            lhs = act(fn1 @ fn2, fp2 @ fp1)
-                            rhs = act(fn2, fp2) @ act(fn1, fp1)
-                            yield None if lhs == rhs else {
-                                "posets": [name(a), name(b), name(c)],
-                                "fneg": [list(fn1.table), list(fn2.table)],
-                                "fpos": [list(fp1.table), list(fp2.table)],
-                            }
+        recheck("identity", np.ones(min(room, 1), dtype=bool), witness)
+        return 1
 
-    def monotonicity_instances():
-        for a, b in itertools.product(posets, repeat=2):
-            negs = maps_between(b, a)
-            poss = maps_between(a, b)
-            for n1, n2 in itertools.product(negs, repeat=2):
-                if not n1.pointwise_leq(n2):
-                    continue
-                for p1, p2 in itertools.product(poss, repeat=2):
-                    if not p1.pointwise_leq(p2):
-                        continue
-                    lo = act(n1, p1)
-                    hi = act(n2, p2)
-                    yield None if lo.pointwise_leq(hi) else {
-                        "posets": [name(a), name(b)],
-                        "fneg": [list(n1.table), list(n2.table)],
-                        "fpos": [list(p1.table), list(p2.table)],
-                    }
+    def composition(a, b, c, room):
+        n1, n2, p1, p2 = (maps_between(*q)[0] for q in ((b, a), (c, b), (a, b), (b, c)))
+        shape = (len(n1), len(n2), len(p1), len(p2))
+        i1, i2, j1, j2 = np.unravel_index(np.arange(min(room, np.prod(shape))), shape)
+        li, lhs = batch(act, maps_between(c, a)[0], maps_between(a, c)[0],
+                        composite(c, b, a, i1, i2), composite(a, b, c, j2, j1))
+        ai, first = batch(act, n1, p1, i1, j1)
+        bi, second = batch(act, n2, p2, i2, j2)
+        tl, ta, tb = _tables(lhs), _tables(first), _tables(second)
+        flagged = np.ones(i1.size, dtype=bool)
+        if tl and ta and tb and ta[2] == tb[1] and tl[1:] == (ta[1], tb[2]):
+            flagged = (tl[0][li] != tb[0][bi[:, None], ta[0][ai]]).any(axis=1)
 
-    def relational_instances():
-        for xp, x, y, yp in itertools.product(posets, repeat=4):
-            for u in maps_between(xp, x):
-                for v in maps_between(y, yp):
-                    for rp in law_rels(xp):
-                        for r in law_rels(x):
-                            if not is_rel_morphism(u, rp, r):
-                                continue
-                            for s in law_rels(y):
-                                for sp in law_rels(yp):
-                                    if not is_rel_morphism(v, s, sp):
-                                        continue
-                                    m = act(u, v)
-                                    big = rel_act(r, s)
-                                    small = rel_act(rp, sp)
-                                    ok = is_rel_morphism(m, big, small)
-                                    yield None if ok else {
-                                        "posets": [name(xp), name(x), name(y), name(yp)],
-                                        "u": list(u.table),
-                                        "v": list(v.table),
-                                        "R'": rp.sorted_pairs(),
-                                        "R": r.sorted_pairs(),
-                                        "S": s.sorted_pairs(),
-                                        "S'": sp.sorted_pairs(),
-                                    }
+        def witness(k):
+            fn1, fn2, fp1, fp2 = n1[i1[k]], n2[i2[k]], p1[j1[k]], p2[j2[k]]
+            return None if act(fn1 @ fn2, fp2 @ fp1) == act(fn2, fp2) @ act(fn1, fp1) else {
+                "posets": [name(a), name(b), name(c)],
+                "fneg": [list(fn1.table), list(fn2.table)],
+                "fpos": [list(fp1.table), list(fp2.table)],
+            }
 
-    run("identity", identity_instances())
-    run("composition", composition_instances())
-    run("monotonicity", monotonicity_instances())
-    run("relational", relational_instances())
+        recheck("composition", flagged, witness)
+        return int(np.prod(shape))
+
+    def monotonicity(a, b, room):
+        (negs, tn, _), (poss, tp, _) = maps_between(b, a), maps_between(a, b)
+        le_n, le_p = (p.leq[t[:, None], t[None, :]].all(axis=2) for p, t in ((a, tn), (b, tp)))
+        inst = le_n[:, :, None, None] & le_p[None, None]
+        n1, n2, p1, p2 = np.argwhere(inst)[:room].T
+        idx, outs = batch(act, negs, poss, np.concatenate([n1, n2]), np.concatenate([p1, p2]))
+        t = _tables(outs)
+        flagged = np.ones(n1.size, dtype=bool)
+        if t:
+            flagged = ~t[2].leq[t[0][idx[: n1.size]], t[0][idx[n1.size :]]].all(axis=1)
+
+        def witness(k):
+            lo, hi = act(negs[n1[k]], poss[p1[k]]), act(negs[n2[k]], poss[p2[k]])
+            return None if lo.pointwise_leq(hi) else {
+                "posets": [name(a), name(b)],
+                "fneg": [list(negs[n1[k]].table), list(negs[n2[k]].table)],
+                "fpos": [list(poss[p1[k]].table), list(poss[p2[k]].table)],
+            }
+
+        recheck("monotonicity", flagged, witness)
+        return int(np.count_nonzero(inst))
+
+    def relational(xp, x, y, yp, room):
+        inst = morphisms(xp, x)[:, None, :, :, None, None] & morphisms(y, yp)[None, :, None, None]
+        u, v, rp, r, s, sp = np.argwhere(inst)[:room].T
+        us, vs = maps_between(xp, x)[0], maps_between(y, yp)[0]
+        rps, rs, ss, sps = law_rels(xp), law_rels(x), law_rels(y), law_rels(yp)
+        mi, ms = batch(act, us, vs, u, v)
+        bi, bigs = batch(rel_act, rs, ss, r, s)
+        si, smalls = batch(rel_act, rps, sps, rp, sp)
+        t = _tables(ms)
+        flagged = np.ones(u.size, dtype=bool)
+        carriers = [{getattr(q, "carrier", None) for q in qs} for qs in (bigs, smalls)]
+        if t and carriers == [{t[1]}, {t[2]}]:
+            big, small = (np.array([q.matrix for q in qs]) for qs in (bigs, smalls))
+            tm = t[0][mi]
+            image = small[si[:, None, None], tm[:, :, None], tm[:, None, :]]
+            flagged = (big[bi] & ~image).any(axis=(1, 2))
+
+        def witness(k):
+            m = act(us[u[k]], vs[v[k]])
+            big, small = rel_act(rs[r[k]], ss[s[k]]), rel_act(rps[rp[k]], sps[sp[k]])
+            return None if is_rel_morphism(m, big, small) else {
+                "posets": [name(xp), name(x), name(y), name(yp)],
+                "u": list(us[u[k]].table),
+                "v": list(vs[v[k]].table),
+                "R'": rps[rp[k]].sorted_pairs(),
+                "R": rs[r[k]].sorted_pairs(),
+                "S": ss[s[k]].sorted_pairs(),
+                "S'": sps[sp[k]].sorted_pairs(),
+            }
+
+        recheck("relational", flagged, witness)
+        return int(np.count_nonzero(inst))
+
+    run("identity", 2, identity)
+    run("composition", 3, composition)
+    run("monotonicity", 2, monotonicity)
+    run("relational", 4, relational)
     report["ok"] = True
     return report

@@ -92,7 +92,7 @@ class FinPoset:
         return (self.n, self.bottom, self.leq.tobytes())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinPoset) and self._key == other._key
+        return self is other or (isinstance(other, FinPoset) and self._key == other._key)
 
     def __hash__(self) -> int:
         return hash(self._key)

@@ -101,6 +101,17 @@ def test_golden_relate_reports_are_stable(name, tmp_path):
     assert path.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("suite,code", [("all", 0), ("corrupted", 1)])
+def test_golden_check_reports_are_stable(suite, code, tmp_path):
+    path = tmp_path / "report.json"
+    proc = run_cli("check", "--suite", suite, "--report", str(path))
+    assert proc.returncode == code, proc.stderr
+    golden = GOLDEN / f"check_{suite}.json"
+    if os.environ.get("RELFIX_REGEN_GOLDEN") == "1":
+        golden.write_bytes(path.read_bytes())
+    assert path.read_bytes() == golden.read_bytes()
+
+
 def test_report_hash_is_the_sha256_of_the_spec_source():
     source = (SPECS / "reflexive.spec").read_bytes()
     proc = run_cli("relate", "--spec", str(SPECS / "reflexive.spec"), "--method", "kt")

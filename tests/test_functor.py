@@ -36,14 +36,24 @@ from relfix.functor import (
     validate_functor,
     var_polarities,
 )
-from relfix.poset import chain_poset, identity_map, one
+from relfix.poset import (
+    MonotoneMap,
+    chain_poset,
+    enumerate_monotone_maps,
+    identity_map,
+    lift,
+    one,
+    small_pointed_posets,
+)
 from relfix.relations import (
     bottom_rel,
     diagonal,
+    is_rel_morphism,
     rel_from_matrix,
     rel_from_pairs,
     total_rel,
 )
+from relfix.suites import _broken_action
 
 C2 = chain_poset(2)
 
@@ -231,15 +241,244 @@ def test_functor_laws_hold_for_the_canonical_three():
             assert law["instances"] > 0
 
 
-def test_broken_composition_action_is_caught():
-    def swapped(f, neg, pos, caps=None):
-        # flip the two halves of the hom action on endo-typed instances:
-        # identities still map to identities, but composition breaks
-        endo = neg.dom == neg.cod and pos.dom == pos.cod and neg.dom == pos.dom
-        if isinstance(f, Fun) and endo:
-            return hom_map(pos, neg) if caps is None else hom_map(pos, neg, caps)
-        return eval_map(f, neg, pos) if caps is None else eval_map(f, neg, pos, caps)
+def _swapped(f, neg, pos, caps=None):
+    # flip the two halves of the hom action on endo-typed instances:
+    # identities still map to identities, but composition breaks
+    endo = neg.dom == neg.cod and pos.dom == pos.cod and neg.dom == pos.dom
+    if isinstance(f, Fun) and endo:
+        return hom_map(pos, neg) if caps is None else hom_map(pos, neg, caps)
+    return eval_map(f, neg, pos) if caps is None else eval_map(f, neg, pos, caps)
 
+
+def test_broken_composition_action_is_caught():
     with pytest.raises(LawViolation) as err:
-        check_functor_laws(Fun(Var(), Var()), budget=5000, action=swapped)
+        check_functor_laws(Fun(Var(), Var()), budget=5000, action=_swapped)
     assert err.value.details["law"] in ("composition", "relational")
+
+
+# ---------------------------------------------------------------------------
+# the law checker against a per-instance oracle
+# ---------------------------------------------------------------------------
+
+
+def _per_instance_laws(f, budget=20_000, action=None, caps=DEFAULT_CAPS, pool=None):
+    """check_functor_laws one instance at a time: the nested loops of each
+    law yield its instances in order, and each instance within the budget
+    is decided with the MonotoneMap and BinRel operations, up to the first
+    failing one.  An instance past the budget is counted as missing and
+    never evaluated."""
+    act_fn = action if action is not None else eval_map
+    posets = pool if pool is not None else small_pointed_posets()
+    act_memo, rel_memo, maps_memo = {}, {}, {}
+
+    def act(neg, pos):
+        if (neg, pos) not in act_memo:
+            act_memo[neg, pos] = act_fn(f, neg, pos, caps)
+        return act_memo[neg, pos]
+
+    def rel_act(r, s):
+        if (r, s) not in rel_memo:
+            rel_memo[r, s] = eval_rel(f, r, s, caps)
+        return rel_memo[r, s]
+
+    def maps(x, y):
+        if (x, y) not in maps_memo:
+            maps_memo[x, y] = [MonotoneMap(x, y, t) for t in enumerate_monotone_maps(x, y)]
+        return maps_memo[x, y]
+
+    def name(p):
+        return p.label or f"poset{p.n}"
+
+    report = {
+        "functor": to_src(f),
+        "pool": [name(p) for p in posets],
+        "budget": budget,
+        "laws": {},
+    }
+
+    def run(law, instances, decide):
+        count = 0
+        complete = True
+        for instance in instances:
+            if count >= budget:
+                complete = False
+                break
+            count += 1
+            witness = decide(*instance)
+            if witness is not None:
+                raise LawViolation(f"functor law failed: {law}", law=law, **witness)
+        report["laws"][law] = {"instances": count, "complete": complete}
+
+    def identity(x, y):
+        m = act(identity_map(x), identity_map(y))
+        return None if m.is_identity() else {
+            "neg": name(x), "pos": name(y), "image": list(m.table)
+        }
+
+    def composition_instances():
+        for a, b, c in itertools.product(posets, repeat=3):
+            for fn1 in maps(b, a):
+                for fn2 in maps(c, b):
+                    for fp1 in maps(a, b):
+                        for fp2 in maps(b, c):
+                            yield a, b, c, fn1, fn2, fp1, fp2
+
+    def composition(a, b, c, fn1, fn2, fp1, fp2):
+        lhs = act(fn1 @ fn2, fp2 @ fp1)
+        rhs = act(fn2, fp2) @ act(fn1, fp1)
+        return None if lhs == rhs else {
+            "posets": [name(a), name(b), name(c)],
+            "fneg": [list(fn1.table), list(fn2.table)],
+            "fpos": [list(fp1.table), list(fp2.table)],
+        }
+
+    def monotonicity_instances():
+        for a, b in itertools.product(posets, repeat=2):
+            for n1, n2 in itertools.product(maps(b, a), repeat=2):
+                if not n1.pointwise_leq(n2):
+                    continue
+                for p1, p2 in itertools.product(maps(a, b), repeat=2):
+                    if p1.pointwise_leq(p2):
+                        yield a, b, n1, n2, p1, p2
+
+    def monotonicity(a, b, n1, n2, p1, p2):
+        lo, hi = act(n1, p1), act(n2, p2)
+        return None if lo.pointwise_leq(hi) else {
+            "posets": [name(a), name(b)],
+            "fneg": [list(n1.table), list(n2.table)],
+            "fpos": [list(p1.table), list(p2.table)],
+        }
+
+    def law_rels(p):
+        rels = [bottom_rel(p), diagonal(p), rel_from_matrix(p, p.leq),
+                rel_from_matrix(p, p.leq.T), total_rel(p)]
+        return list(dict.fromkeys(rels))
+
+    def relational_instances():
+        for xp, x, y, yp in itertools.product(posets, repeat=4):
+            for u in maps(xp, x):
+                for v in maps(y, yp):
+                    for rp in law_rels(xp):
+                        for r in law_rels(x):
+                            if not is_rel_morphism(u, rp, r):
+                                continue
+                            for s in law_rels(y):
+                                for sp in law_rels(yp):
+                                    if is_rel_morphism(v, s, sp):
+                                        yield xp, x, y, yp, u, v, rp, r, s, sp
+
+    def relational(xp, x, y, yp, u, v, rp, r, s, sp):
+        m = act(u, v)
+        ok = is_rel_morphism(m, rel_act(r, s), rel_act(rp, sp))
+        return None if ok else {
+            "posets": [name(xp), name(x), name(y), name(yp)],
+            "u": list(u.table),
+            "v": list(v.table),
+            "R'": rp.sorted_pairs(),
+            "R": r.sorted_pairs(),
+            "S": s.sorted_pairs(),
+            "S'": sp.sorted_pairs(),
+        }
+
+    run("identity", itertools.product(posets, repeat=2), identity)
+    run("composition", composition_instances(), composition)
+    run("monotonicity", monotonicity_instances(), monotonicity)
+    run("relational", relational_instances(), relational)
+    report["ok"] = True
+    return report
+
+
+def _outcome(check, *args, **kwargs):
+    """The report, or the raised error's type, message and details."""
+    try:
+        return check(*args, **kwargs)
+    except Exception as exc:  # the oracle and the checker must raise alike
+        return type(exc).__name__, str(exc), getattr(exc, "details", None)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 7, 100, 4000])
+@pytest.mark.parametrize("f", [LAZY, STREAM, REFLEX], ids=["lazy_nat", "streams", "reflexive"])
+def test_law_reports_match_the_per_instance_oracle(f, budget):
+    report = check_functor_laws(f, budget=budget)
+    assert report == _per_instance_laws(f, budget=budget)
+    assert report["ok"] and len(report["laws"]) == 4
+
+
+@pytest.mark.parametrize("f", [LAZY, STREAM, REFLEX], ids=["lazy_nat", "streams", "reflexive"])
+def test_laws_on_a_small_pool_are_complete_with_the_oracle_counts(f):
+    pool = [one(), chain_poset(2)]
+    report = check_functor_laws(f, budget=10**9, pool=pool)
+    assert report == _per_instance_laws(f, budget=10**9, pool=pool)
+    assert all(law["complete"] for law in report["laws"].values())
+
+
+def _mistyped(f, neg, pos, caps=DEFAULT_CAPS):
+    """The right table under a wrong codomain whenever pos is an identity
+    on two or more elements and neg is not an identity."""
+    m = eval_map(f, neg, pos, caps)
+    if pos.is_identity() and pos.dom.n > 1 and not neg.is_identity():
+        return MonotoneMap(m.dom, lift(m.cod), m.table)
+    return m
+
+
+@pytest.mark.parametrize(
+    "f, action",
+    [
+        (Fun(Var(), Var()), _broken_action),
+        (Fun(Var(), Var()), _swapped),
+        (LAZY, _mistyped),
+        (REFLEX, _mistyped),
+    ],
+    ids=["broken", "swapped", "mistyped_lazy_nat", "mistyped_reflexive"],
+)
+def test_violations_match_the_per_instance_oracle(f, action):
+    with pytest.raises(LawViolation) as err:
+        check_functor_laws(f, budget=5000, action=action)
+    with pytest.raises(LawViolation) as want:
+        _per_instance_laws(f, budget=5000, action=action)
+    assert str(err.value) == str(want.value)
+    assert err.value.details == want.value.details
+
+
+def _antitone(f, neg, pos, caps=DEFAULT_CAPS):
+    """Swaps the two maps one -> chain(2) before acting, so the action turns
+    their order around: it breaks relational functoriality within two
+    instances, monotonicity within three and composition within twenty."""
+    if pos.dom.n == 1 and pos.cod.n == 2:
+        pos = MonotoneMap(pos.dom, pos.cod, (1 - pos.table[0],))
+    return eval_map(f, neg, pos, caps)
+
+
+def _refusing(f, neg, pos, caps=DEFAULT_CAPS):
+    """_antitone, but raising on the constant map chain(2) -> chain(2) at
+    the top, which the composition law first meets two rows after a
+    failing one."""
+    if pos.table == (1, 1):
+        raise ValueError("refused")
+    return _antitone(f, neg, pos, caps)
+
+
+def _miscod(f, neg, pos, caps=DEFAULT_CAPS):
+    """A wrong codomain whenever pos is not an endomap."""
+    m = eval_map(f, neg, pos, caps)
+    return MonotoneMap(m.dom, lift(m.cod), m.table) if pos.dom != pos.cod else m
+
+
+@pytest.mark.parametrize(
+    "action, budget, law",
+    [
+        (_antitone, 2, "relational"),
+        (_antitone, 7, "monotonicity"),
+        (_antitone, 20, "composition"),
+        (_refusing, 20, "composition"),
+        (_miscod, 7, None),
+        (_miscod, 100, None),
+    ],
+)
+@pytest.mark.parametrize("f", [LAZY, STREAM, REFLEX], ids=["lazy_nat", "streams", "reflexive"])
+def test_each_law_fails_like_the_per_instance_oracle(f, action, budget, law):
+    got = _outcome(check_functor_laws, f, budget=budget, action=action)
+    want = _outcome(_per_instance_laws, f, budget=budget, action=action)
+    assert got == want
+    if law is not None:
+        assert want[0] == "LawViolation" and want[2]["law"] == law

@@ -89,6 +89,17 @@ def test_canonical_form_of_a_relabelled_chain():
     assert shuffled.bottom == 0
 
 
+def test_equal_but_distinct_posets_compare_and_hash_equal():
+    # the same order built twice, once with other descriptors and a label
+    a = chain_poset(3)
+    b = validate_poset(3, [(2, 0), (0, 1)], 2, label="relabelled")
+    assert a is not b and a.elems != b.elems
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a == a and not (a != a)
+    assert a != chain_poset(2) and a != "chain(3)"
+    assert {a: 1}[b] == 1
+
+
 @given(pointed_posets())
 def test_random_posets_satisfy_the_axioms(p: FinPoset):
     for i in range(p.n):
