@@ -110,7 +110,6 @@ from .cofe import (
     Distance,
     check_contractive,
     cofe_limit,
-    later_shift,
     n_equal,
     ofe_distance,
     prefix_equal,

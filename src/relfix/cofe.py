@@ -1,7 +1,7 @@
 """The ordered-family-of-equivalences structure on relation families.
 
-n-equality, dyadic distances, the later shift, Cauchy limits, and the
-contractiveness check for the relational operator.
+n-equality, dyadic distances, Cauchy limits, and the contractiveness
+check for the relational operator.
 
 n-equality has three characterizations on uniform families, all computed
 and cross-asserted here:
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -52,7 +53,6 @@ from .errors import (
     TypeMismatch,
 )
 from .functor import eval_rel, to_src
-from .poset import FinPoset
 from .relations import (
     BinRel,
     bottom_index,
@@ -63,7 +63,6 @@ from .relations import (
     masks_to_rows,
     pair_table,
     rows_to_masks,
-    total_rel,
 )
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "n_equal",
     "Distance",
     "ofe_distance",
-    "later_shift",
     "CauchySeq",
     "validate_cauchy",
     "cofe_limit",
@@ -147,22 +145,6 @@ def ofe_distance(chain: DomainChain, r: RelFamily, s: RelFamily) -> Distance:
     if n == chain.depth + 1:
         return Distance(Fraction(0), True)
     return Distance(Fraction(1, 2 ** n), False)
-
-
-def later_shift(fam: RelFamily) -> RelFamily:
-    """The later operator at truncation.
-
-    Level 0 becomes total and level n+1 receives input level n, which is
-    re-carriered by the direct image along the step embedding (the input
-    top level falls off).  The output is generally not coherent, and the
-    total family is preserved only at level 0 on non-constant chains;
-    both are truncation artifacts of the carrier shift.
-    """
-    chain = fam.chain
-    rels = [total_rel(chain.levels[0])]
-    for m in range(chain.depth):
-        rels.append(direct_image(chain.steps[m].e, fam[m]))
-    return make_family(chain, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -260,27 +242,21 @@ def cofe_limit(chain: DomainChain, seq: CauchySeq) -> RelFamily:
 # tree products.
 
 
-def _pair_forest(carrier: FinPoset, pis: list) -> tuple:
-    """Parent bit per pair bit (ancestry forest) and the root bit."""
+def _forest(chain: DomainChain, level: int) -> tuple:
+    """(children of each pair bit, root bit) of the ancestry forest on
+    X_level: the parent of a pair is its image under the deepest
+    truncation pi_j that moves it."""
+    carrier = chain.levels[level]
     root = bottom_index(carrier)
-    images = [pair_table(pi).index for pi in reversed(pis)]
-    parent = [None] * (carrier.n * carrier.n)
-    for q in range(len(parent)):
-        if q == root:
-            continue
-        for img in images:
-            if img[q] != q:
-                parent[q] = img[q]
-                break
-    return parent, root
-
-
-def _forest_children(parent: list, root: int) -> dict:
-    children: dict = {q: [] for q in range(len(parent))}
-    for q, p in enumerate(parent):
-        if p is not None:
-            children[p].append(q)
-    return children
+    images = [
+        pair_table(chain.level_pi(j, level)).index for j in reversed(range(level + 1))
+    ]
+    children: dict = {q: [] for q in range(carrier.n * carrier.n)}
+    for q in children:
+        parent = next((img[q] for img in images if img[q] != q), None)
+        if q != root and parent is not None:
+            children[parent].append(q)
+    return children, root
 
 
 def _ways(children: dict, node: int) -> int:
@@ -291,19 +267,11 @@ def _ways(children: dict, node: int) -> int:
     return 1 + w
 
 
-def _level_pis(chain: DomainChain, level: int) -> list:
-    return [chain.level_pi(j, level) for j in range(level + 1)]
-
-
 def uniform_space_size(chain: DomainChain, level: int | None = None) -> int:
     """Exact number of uniform admissible relations on X_level."""
     level = chain.depth if level is None else level
-    parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
-    children = _forest_children(parent, root)
-    total = 1
-    for c in children[root]:
-        total *= _ways(children, c)
-    return total
+    children, root = _forest(chain, level)
+    return math.prod(_ways(children, c) for c in children[root])
 
 
 def _tree_masks(children: dict, node: int) -> list:
@@ -334,8 +302,7 @@ def uniform_mask_blocks(chain: DomainChain, level: int | None = None):
     """
     level = chain.depth if level is None else level
     width = chain.levels[level].n ** 2
-    parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
-    children = _forest_children(parent, root)
+    children, root = _forest(chain, level)
     per_tree = [_tree_masks(children, c) for c in children[root]]
     split, inner_size = len(per_tree), 1
     while split and inner_size * len(per_tree[split - 1]) <= BLOCK_ROWS:
@@ -373,10 +340,9 @@ def sample_uniform_masks(
 ):
     """Seeded uniform-ish sample of the downset space (with replacement)."""
     level = chain.depth if level is None else level
-    parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
-    children = _forest_children(parent, root)
+    children, root = _forest(chain, level)
     rng = random.Random(seed)
-    wcache = {c: _ways(children, c) for c in range(len(parent))}
+    wcache = {c: _ways(children, c) for c in children}
 
     def pick(node: int) -> int:
         w = wcache[node]
@@ -415,19 +381,10 @@ def family_from_mask(chain: DomainChain, mask: int, level: int) -> RelFamily:
 # ---------------------------------------------------------------------------
 
 
-def _value_columns(rows) -> list:
-    """Per-row value tuples as columns of (per-row ids, distinct values)."""
-    columns = []
-    for column in zip(*rows):
-        index: dict = {}
-        ids = [index.setdefault(v, len(index)) for v in column]
-        columns.append((np.array(ids, dtype=np.intp), list(index)))
-    return columns
-
-
 def _combined_ids(columns: list, size: int) -> np.ndarray:
-    """One id per row for the tuple of its column ids, equal exactly when
-    the tuples are equal (mixed radix, renumbered before it overflows)."""
+    """One id per row for the tuple of its column values, equal exactly
+    when the tuples are equal (mixed radix, renumbered before it
+    overflows).  The columns hold nonnegative integers."""
     acc = np.zeros(size, dtype=np.int64)
     bound = 1
     for ids in columns:
@@ -440,45 +397,12 @@ def _combined_ids(columns: list, size: int) -> np.ndarray:
     return acc
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple:
-    """(per-row ids, distinct masks) of a batch of packed masks."""
+def _distinct_masks(rows: np.ndarray) -> list:
+    """The distinct masks of a batch of packed masks.  Sorting the combined
+    ids is much cheaper than np.unique(rows, axis=0), which sorts a void
+    view of the rows."""
     ids = _combined_ids([rows[:, j] for j in range(rows.shape[1])], len(rows))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    return inverse.ravel(), rows_to_masks(rows[first])
-
-
-def _block_conflicts(groups: list, group_ns, keys: list, outs: list, block) -> list:
-    """The conflicts of one block of masks, as (row, n, output level,
-    witness mask) in (row, n) order.
-
-    keys[m] and outs[m] are (per-row ids, distinct values) columns of the
-    input level m and the output level m.  For each n the key of a row is
-    its input levels below n and its want is its output levels up to n;
-    groups[n] maps each key met so far to the want and mask of its first
-    row, the witness, and every later row with that key and another want
-    conflicts with the witness.
-    """
-    found = []
-    for n in group_ns:
-        cols = [ids for ids, _ in keys[:n]] + [ids for ids, _ in outs[: n + 1]]
-        _, first, combo = np.unique(
-            _combined_ids(cols, len(block)), return_index=True, return_inverse=True
-        )
-        combo = combo.ravel()
-        for c in np.argsort(first):
-            r = first[c]
-            key = tuple(values[ids[r]] for ids, values in keys[:n])
-            want = tuple(values[ids[r]] for ids, values in outs[: n + 1])
-            seen = groups[n].get(key)
-            if seen is None:
-                groups[n][key] = (want, rows_to_masks(block[r : r + 1])[0])
-            elif seen[0] != want:
-                m_bad = next(i for i in range(n + 1) if seen[0][i] != want[i])
-                found.extend(
-                    (int(row), n, m_bad, seen[1]) for row in np.flatnonzero(combo == c)
-                )
-    found.sort()
-    return found
+    return rows_to_masks(rows[np.unique(ids, return_index=True)[1]])
 
 
 def check_contractive(
@@ -503,16 +427,21 @@ def check_contractive(
       this for the operator actually used.  Requires the default op.
     * sampled: seeded sampling of the full space.
 
-    Masks arrive in blocks of packed rows, and each block is pulled to
-    every key level in one batch.  The default operator runs levelwise:
-    psi's output level m+1 is eval_rel(F, R_m, R_m), computed once per
-    distinct level-m input.  A custom op runs once per family.
+    The default operator psi cannot fail the implication, so its check
+    groups nothing.  psi's output level 0 is total on the one-point X_0
+    and its output level m+1 is eval_rel(F, R_m, R_m), so its output
+    levels up to n are a function of the input levels below n: families
+    that agree below n get outputs that agree up to n.  The check still
+    runs psi levelwise over the whole space, so that every input level
+    meets eval_rel (and its caps): each block of packed masks is pulled to
+    every input level, and eval_rel runs once on each new (level, mask).
 
-    The implication is decided by grouping: for each n, families sharing
-    the prefix below n must produce outputs sharing the prefix below n+1.
-    Each family that breaks this against the first family of its group is
-    a counterexample; they are reported in enumeration order, stopping
-    after the family that brings the count to five.
+    A custom op runs once per family, in enumeration order.  For each n,
+    the first family with given input levels below n is the witness of
+    that key, and each later family with the same key whose output levels
+    up to n differ from the witness's is a counterexample.  The check
+    stops after the family that brings the count of counterexamples to
+    five.
     """
     depth = chain.depth
     space = uniform_space_size(chain)
@@ -524,87 +453,66 @@ def check_contractive(
         "counterexamples": [],
         "ok": True,
     }
-
     if space <= full_budget:
-        strategy = "full"
-        level = depth
-        blocks = uniform_mask_blocks(chain, depth)
-        group_ns = range(depth + 1)
-    elif op is None and depth >= 1 and uniform_space_size(chain, depth - 1) <= section_budget:
-        strategy = "sections"
-        level = depth - 1
-        blocks = uniform_mask_blocks(chain, depth - 1)
-        group_ns = range(depth)
-        report["section_space"] = uniform_space_size(chain, depth - 1)
+        strategy, level = "full", depth
+    elif (
+        op is None
+        and depth >= 1
+        and (section_space := uniform_space_size(chain, depth - 1)) <= section_budget
+    ):
+        strategy, level = "sections", depth - 1
+        report["section_space"] = section_space
     else:
-        strategy = "sampled"
-        level = depth
+        strategy, level = "sampled", depth
+        report["seed"] = seed
+    report["strategy"] = strategy
+    if strategy == "sampled":
         sampled = sample_uniform_masks(chain, samples, seed, depth)
         width = chain.levels[depth].n ** 2
         blocks = (masks_to_rows(c, width) for c in _chunks(sampled, BLOCK_ROWS))
-        group_ns = range(depth + 1)
-        report["seed"] = seed
-    report["strategy"] = strategy
+    else:
+        blocks = uniform_mask_blocks(chain, level)
 
-    # Per-level embeddings into the enumeration carrier, for deriving the
-    # family levels that serve as group keys and operator inputs.
-    embs = [pair_table(chain.ep(m, level).e) for m in range(level + 1)]
-
-    # Levels needed as keys or operator inputs: in section mode the top
-    # group index is depth-1, so inputs stop at depth-2.
-    max_in = (depth - 1) if strategy != "sections" else (depth - 2)
-
-    memo: dict = {}
-
-    def out_level(m: int, in_mask: int) -> int:
-        """Operator output at level m+1 as a mask, from input level m."""
-        key = (m, in_mask)
-        if key not in memo:
-            rel = BinRel(chain.levels[m], in_mask)
-            memo[key] = eval_rel(chain.functor, rel, rel, chain.caps).mask
-        return memo[key]
-
-    def run_op(mask: int) -> tuple:
-        out = op(chain, family_from_mask(chain, mask, level))
-        return tuple(out[m].mask for m in range(depth + 1))
-
-    groups: list = [dict() for _ in range(depth + 1)]
     enumerated = 0
     conflicts = report["counterexamples"]
-
-    for block in blocks:
-        # input level m of every row, as distinct masks and per-row ids
-        keys = [_distinct_rows(embs[m].pull_rows(block)) for m in range(max_in + 1)]
-        if op is None:
-            # psi's output level m+1 is eval_rel(F, R_m, R_m) and level 0
-            # is total on the one-point X_0, so each output column is
-            # computed once per distinct input
-            outs = [(np.zeros(len(block), dtype=np.intp), [1])] + [
-                (ids, [out_level(m, v) for v in values])
-                for m, (ids, values) in enumerate(keys)
-            ]
-        else:
-            outs = _value_columns(map(run_op, rows_to_masks(block)))
-        stop = None
-        for row, n, m_bad, mask_a in _block_conflicts(groups, group_ns, keys, outs, block):
-            if stop is not None and row > stop:
+    if op is None:
+        # the input levels are those below the enumeration level; in
+        # section mode the top compared n is N-1, so they stop at N-2
+        embs = [pair_table(chain.ep(m, level).e) for m in range(level)]
+        done: set = set()
+        for block in blocks:
+            for m, emb in enumerate(embs):
+                for mask in _distinct_masks(emb.pull_rows(block)):
+                    if (m, mask) not in done:
+                        done.add((m, mask))
+                        rel = BinRel(chain.levels[m], mask)
+                        eval_rel(chain.functor, rel, rel, chain.caps)
+            enumerated += len(block)
+    else:
+        groups: list = [dict() for _ in range(depth + 1)]
+        for mask in itertools.chain.from_iterable(map(rows_to_masks, blocks)):
+            enumerated += 1
+            fam = family_from_mask(chain, mask, level)
+            out = op(chain, fam)
+            ins = tuple(fam[m].mask for m in range(depth))
+            outs = tuple(out[m].mask for m in range(depth + 1))
+            for n, group in enumerate(groups):
+                want, witness = group.setdefault(ins[:n], (outs[: n + 1], mask))
+                if want != outs[: n + 1]:
+                    conflicts.append(
+                        {
+                            "n": n,
+                            "output_level": next(
+                                m for m in range(n + 1) if want[m] != outs[m]
+                            ),
+                            "mask_a": witness,
+                            "mask_b": mask,
+                        }
+                    )
+            if len(conflicts) >= 5:
+                report["stopped_early"] = True
                 break
-            conflicts.append(
-                {
-                    "n": n,
-                    "output_level": m_bad,
-                    "mask_a": mask_a,
-                    "mask_b": rows_to_masks(block[row : row + 1])[0],
-                }
-            )
-            report["ok"] = False
-            if stop is None and len(conflicts) >= 5:
-                stop = row
-        if stop is not None:
-            enumerated += stop + 1
-            report["stopped_early"] = True
-            break
-        enumerated += len(block)
+        report["ok"] = not conflicts
     report["enumerated"] = enumerated
 
     if strategy == "sections":

@@ -61,7 +61,6 @@ from .poset import (
     chain_poset,
     enumerate_monotone_maps,
     identity_map,
-    one,
     small_pointed_posets,
     validate_poset,
     vee,
@@ -82,7 +81,6 @@ from .relations import (
 
 __all__ = [
     "canonical_specs",
-    "CANONICAL_SOURCES",
     "vee",
     "diamond",
     "small_pointed_posets",
@@ -111,13 +109,6 @@ def canonical_specs() -> dict:
         "streams": (Lift(Prod(Const(ch2, diagonal(ch2)), Var())), 4),
         "reflexive": (Lift(Fun(Var(), Var())), 3),
     }
-
-
-CANONICAL_SOURCES = {
-    "lazy_nat": "domain D = sum(one, D)\ndepth 6\n",
-    "streams": "domain D = lift(prod(const(chain(2), diag), D))\ndepth 4\n",
-    "reflexive": "domain D = lift(fun(D, D))\ndepth 3\n",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +383,7 @@ def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     e3 = enumerate_canonical_idempotents(ch3, caps)
     out["checks"]["e_ch3_size"] = {"got": len(e3), "want": 4, "ok": len(e3) == 4}
 
-    corpus5 = [
-        one(),
-        chain_poset(2),
-        chain_poset(3),
-        vee(),
-        diamond(),
-        chain_poset(4),
-        chain_poset(5),
-    ]
+    corpus5 = small_pointed_posets() + [diamond(), chain_poset(4), chain_poset(5)]
     pairs = 0
     agree_ok = True
     for d in corpus5:

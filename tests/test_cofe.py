@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from relfix.chain import build_chain, diagonal_family, total_family
+from relfix.chain import build_chain, diagonal_family, make_family, total_family
 from relfix.cofe import (
     CauchySeq,
     Distance,
@@ -14,7 +14,6 @@ from relfix.cofe import (
     cofe_limit,
     enumerate_uniform_masks,
     family_from_mask,
-    later_shift,
     n_equal,
     ofe_distance,
     prefix_equal,
@@ -23,7 +22,8 @@ from relfix.cofe import (
 )
 from relfix.engines import psi_step, solve_kleene
 from relfix.errors import NotCauchy, TypeMismatch
-from relfix.relations import BinRel, diagonal
+from relfix.functor import Lift, Var
+from relfix.relations import BinRel, diagonal, intersect
 from relfix.suites import canonical_specs
 
 
@@ -73,19 +73,6 @@ def test_distance_is_an_ultrametric():
             for t in sample:
                 lhs = ofe_distance(ch, r, t).value
                 assert lhs <= max(d_rs.value, ofe_distance(ch, s, t).value)
-
-
-def test_later_shift_is_contractive():
-    ch = small_lazy(2)
-    masks = list(sample_uniform_masks(ch, count=12, seed=5))
-    fams = [family_from_mask(ch, m, ch.depth) for m in masks]
-    for r in fams:
-        for s in fams:
-            for n in range(ch.depth + 1):
-                if n_equal(ch, r, s, n):
-                    assert n_equal(ch, later_shift(r), later_shift(s), n + 1)
-    shifted = later_shift(fams[0])
-    assert shifted[0] == total_family(ch)[0]
 
 
 def test_banach_iterates_form_a_cauchy_sequence(chains):
@@ -180,3 +167,69 @@ def test_check_contractive_sampled_strategy():
     assert report["strategy"] == "sampled"
     assert report["ok"] is True
     assert report["seed"] == 3
+
+
+def _mix_top(chain, fam):
+    """psi with its top output level cut down by the input's top level.
+    Its output levels below N are psi's, so it fails only at n = N."""
+    out = psi_step(chain, fam)
+    top = chain.depth
+    cut = intersect([out[top], fam[top]], chain.levels[top])
+    return make_family(chain, list(out.rels[:top]) + [cut])
+
+
+def _contractive_oracle(chain, op):
+    """The implication by definition: each family against the first
+    earlier family with the same levels below n, for every n, compared
+    with prefix_equal; it stops after the family that brings the count of
+    counterexamples to five.  Returns (counterexamples, enumerated,
+    stopped_early)."""
+    masks, fams, outs, found = [], [], [], []
+    for mask in enumerate_uniform_masks(chain):
+        fam = family_from_mask(chain, mask, chain.depth)
+        out = op(chain, fam)
+        for n in range(chain.depth + 1):
+            j = next(j for j, r in enumerate(fams + [fam]) if prefix_equal(r, fam, n))
+            if j < len(fams) and not prefix_equal(outs[j], out, n + 1):
+                level = next(m for m in range(n + 1) if outs[j][m] != out[m])
+                found.append(
+                    {"n": n, "output_level": level, "mask_a": masks[j], "mask_b": mask}
+                )
+        masks.append(mask)
+        fams.append(fam)
+        outs.append(out)
+        if len(found) >= 5:
+            return found, len(fams), True
+    return found, len(fams), False
+
+
+def _identity(chain, fam):
+    return fam
+
+
+@pytest.mark.parametrize(
+    "name, depth, op",
+    [
+        (name, 1, op)
+        for name in ("lazy_nat", "reflexive")
+        for op in (_identity, psi_step, _mix_top)
+    ]
+    # on lift(D) at depth 3 the fourth family gives the fifth and sixth
+    # counterexamples, so the check must finish that family
+    + [("lift", 3, _identity), ("lift", 3, _mix_top)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_custom_operator_check_matches_the_definitional_oracle(name, depth, op):
+    functor = Lift(Var()) if name == "lift" else canonical_specs()[name][0]
+    chain = build_chain(functor, depth)
+    found, enumerated, stopped = _contractive_oracle(chain, op)
+    report = check_contractive(chain, op=op)
+    assert report["strategy"] == "full"
+    assert report["counterexamples"] == found
+    assert report["ok"] is (not found)
+    assert report["enumerated"] == enumerated
+    assert report.get("stopped_early", False) is stopped
+    if op is psi_step:
+        assert not found and enumerated == report["space_size"]
+    if op is _mix_top:
+        assert found and all(c["n"] == chain.depth for c in found)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from relfix.config import DEFAULT_CAPS
@@ -15,14 +17,15 @@ from relfix.errors import (
 from relfix.functor import Const, Fun, Lift, One, Prod, SumSep, Var
 from relfix.poset import chain_poset
 from relfix.relations import diagonal, total_rel
-from relfix.suites import CANONICAL_SOURCES, canonical_specs
+from relfix.suites import canonical_specs
+
+SPECS = Path(__file__).parent / "specs"
 
 
 def test_the_canonical_sources_parse_to_the_canonical_asts():
-    specs = canonical_specs()
-    for name, source in CANONICAL_SOURCES.items():
-        parsed = parse_spec(source)
-        functor, depth = specs[name]
+    # the bundled spec files, which the relate goldens also run
+    for name, (functor, depth) in canonical_specs().items():
+        parsed = parse_spec((SPECS / f"{name}.spec").read_text(encoding="utf-8"))
         assert parsed.functor == functor
         assert parsed.depth == depth
         assert parsed.domain_name == "D"

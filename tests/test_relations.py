@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from relfix.chain import build_chain
 from relfix.cofe import (
     BLOCK_ROWS,
-    _forest_children,
-    _level_pis,
-    _pair_forest,
+    _forest,
     _tree_masks,
     enumerate_uniform_masks,
     uniform_mask_blocks,
@@ -249,8 +247,7 @@ def test_mask_blocks_flatten_to_the_uniform_enumeration(depth):
     # mask at a time, which is how the space is defined
     chain = build_chain(SumSep(One(), Var()), depth)
     level = depth - 1
-    parent, root = _pair_forest(chain.levels[level], _level_pis(chain, level))
-    children = _forest_children(parent, root)
+    children, root = _forest(chain, level)
     per_tree = [_tree_masks(children, c) for c in children[root]]
     oracle = (
         functools.reduce(operator.or_, combo, 1 << root)
