@@ -153,7 +153,7 @@ def _canonical_build(leq: np.ndarray, elems: tuple, label: str | None) -> FinPos
     n = leq.shape[0]
     heights = _heights(leq)
     perm = np.argsort(heights, kind="stable")
-    leq2 = np.ascontiguousarray(leq[np.ix_(perm, perm)])
+    leq2 = leq.take(perm, 0).take(perm, 1)
     elems2 = tuple(elems[p] for p in perm)
     if not leq2[0].all():
         bad = int(np.flatnonzero(~leq2[0])[0])
@@ -290,7 +290,7 @@ def monotonicity_witness(dom: FinPoset, cod: FinPoset, arr: np.ndarray):
         return ("arity", arr.size)
     if arr.size and (arr.min() < 0 or arr.max() >= cod.n):
         return ("range", int(arr.max()))
-    bad = dom.leq & ~cod.leq[np.ix_(arr, arr)]
+    bad = dom.leq & ~cod.leq.take(arr, 0).take(arr, 1)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
         return (i, j)
@@ -416,5 +416,7 @@ def hom_poset(x: FinPoset, y: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:
     m = len(tables)
     _check_size(m, caps, "hom poset", dom=x.n, cod=y.n)
     arr = np.array(tables, dtype=np.int64)
-    leq = y.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
+    leq = np.ones((m, m), dtype=bool)
+    for col in arr.T:
+        leq &= y.leq.take(col, 0).take(col, 1)
     return _canonical_build(leq, tuple(tables), None)

@@ -56,8 +56,8 @@ __all__ = [
 # a gather or scatter, then packbits), because the int loop shifts the
 # whole mask once per bit and so grows quadratically with the width.
 # Measured with Python 3.11 and numpy 2.4 on a 2-vCPU VM, one pull along
-# an n-element map: n = 3, int 1.2 us / numpy 11 us; n = 8 to 10, about
-# 10 to 17 us either way; n = 32, int 230 us / numpy 25 us.
+# an n-element map (int / numpy): n = 3, 0.7-0.9 / 5-8 us; n = 8, 7-10 /
+# 5-8 us; n = 9 to 10, 12-18 / 5-8 us; n = 32, 230-250 / 9-11 us.
 _INT_MAX_BITS = 81
 
 
@@ -230,7 +230,7 @@ class PairTable:
         """The domain bits whose image bit is set in mask."""
         if self.arr is not None:
             k, t = self.ky, self.arr
-            return _pack(_unpack(mask, k * k).reshape(k, k)[np.ix_(t, t)].ravel())
+            return _pack(_unpack(mask, k * k).reshape(k, k).take(t, 0).take(t, 1))
         out = 0
         for q, j in enumerate(self._index):
             if (mask >> j) & 1:

@@ -27,26 +27,36 @@ from relfix.poset import (
     identity_map,
     lift,
     monotone_map,
+    monotonicity_witness,
     one,
     _heights,
     product,
     small_pointed_posets,
     sum_sep,
     validate_poset,
+    vee,
 )
 from relfix.suites import canonical_specs
 
 
 @st.composite
-def pointed_posets(draw) -> FinPoset:
-    """A random pointed poset: a DAG on 1..n-1 plus bottom edges from 0."""
-    n = draw(st.integers(min_value=1, max_value=5))
+def order_inputs(draw, min_size: int = 1, max_size: int = 5):
+    """Arguments of validate_poset for a random pointed poset: a DAG on
+    1..n-1 plus bottom edges from 0, with the labels shuffled."""
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
     pairs = [(0, k) for k in range(1, n)]
     for i in range(1, n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 pairs.append((i, j))
-    return validate_poset(n, pairs, 0)
+    label = draw(st.permutations(range(n)))
+    return n, [(label[i], label[j]) for i, j in pairs], label[0]
+
+
+@st.composite
+def pointed_posets(draw, min_size: int = 1, max_size: int = 5) -> FinPoset:
+    """A random pointed poset, built from order_inputs."""
+    return validate_poset(*draw(order_inputs(min_size, max_size)))
 
 
 def test_one_is_a_single_point():
@@ -78,6 +88,22 @@ def test_validate_poset_rejects_cycles():
 def test_validate_poset_rejects_wrong_bottom():
     with pytest.raises(NoLeastElement):
         validate_poset(2, [], 0)  # 0 and 1 incomparable, so no least element
+
+
+@given(order_inputs(min_size=10, max_size=14))
+def test_validate_poset_relabels_the_input_order_by_its_descriptors(args):
+    # the oracle closes the input pairs by plain reachability; element i of
+    # the result is input element elems[i]
+    n, pairs, bottom = args
+    above = {i: {i} for i in range(n)}
+    for _ in range(n):
+        for i, j in pairs:
+            above[i] |= above[j]
+    p = validate_poset(n, pairs, bottom)
+    assert sorted(p.elems) == list(range(n))
+    for i in range(n):
+        for j in range(n):
+            assert p.le(i, j) == (p.elems[j] in above[p.elems[i]])
 
 
 def test_canonical_form_of_a_relabelled_chain():
@@ -160,6 +186,29 @@ def test_monotone_map_rejects_order_violations():
         monotone_map(c3, c2, (1, 0, 0))
 
 
+def _witness_by_loop(dom: FinPoset, cod: FinPoset, table) -> tuple | None:
+    for i in range(dom.n):
+        for j in range(dom.n):
+            if dom.le(i, j) and not cod.le(table[i], table[j]):
+                return (i, j)
+    return None
+
+
+@st.composite
+def tables_between_wide_posets(draw):
+    dom = draw(pointed_posets(min_size=10, max_size=12))
+    cod = draw(pointed_posets(min_size=10, max_size=12))
+    values = st.integers(min_value=0, max_value=cod.n - 1)
+    return dom, cod, draw(st.lists(values, min_size=dom.n, max_size=dom.n))
+
+
+@given(tables_between_wide_posets())
+def test_monotonicity_witness_is_the_first_failing_pair_in_row_major_order(case):
+    dom, cod, table = case
+    got = monotonicity_witness(dom, cod, np.asarray(table, dtype=np.int64))
+    assert got == _witness_by_loop(dom, cod, table)
+
+
 def test_monotone_map_composition_and_identity():
     c3, c2 = chain_poset(3), chain_poset(2)
     f = monotone_map(c3, c2, (0, 0, 1))
@@ -239,6 +288,17 @@ def test_hom_poset_is_ordered_pointwise():
             fi = MonotoneMap(c2, c2, h.elems[i])
             fj = MonotoneMap(c2, c2, h.elems[j])
             assert h.le(i, j) == fi.pointwise_leq(fj)
+
+
+def test_hom_poset_order_matches_pointwise_comparison_on_a_wide_pair():
+    # vee into a 3x3 grid: 196 maps, neither side a chain
+    x, y = vee(), product(chain_poset(3), chain_poset(3))
+    h = hom_poset(x, y)
+    assert h.n == 196
+    assert sorted(h.elems) == sorted(enumerate_monotone_maps(x, y))
+    for i, f in enumerate(h.elems):
+        for j, g in enumerate(h.elems):
+            assert h.le(i, j) == all(y.le(a, b) for a, b in zip(f, g))
 
 
 def test_hom_poset_respects_the_element_cap():
