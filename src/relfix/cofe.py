@@ -17,12 +17,11 @@ characterization alone.
 The contractiveness check is exhaustive whenever the space of uniform
 families fits the budget.  When only the quotient by the top level fits,
 it enumerates sections: every uniform family on the depth-(N-1) prefix,
-extended by a canonical top level.  Sections decide the pair implication
+standing for every family with that prefix.  Sections decide the pair implication
 exactly, because n ranges over 0..N and two uniform families with equal
-levels below N fall in the same class for every such n, while the
-operator's outputs at the compared levels are functions of the shared
-prefix.  A sampled filler-independence check backs that argument for the
-operator actually supplied.
+levels below N fall in the same class for every such n, while the default
+operator reads only input levels below N (engines._psi), so its outputs
+are functions of the shared prefix.
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ from .chain import (
     family_from_limit,
     glue_family,
     is_uniform_family,
-    make_family,
 )
-from .engines import psi_step
 from .errors import (
     CharacterizationMismatch,
     InternalInvariantViolation,
@@ -56,7 +53,6 @@ from .functor import eval_rel, to_src
 from .relations import (
     BinRel,
     bottom_index,
-    direct_image,
     intersect,
     inverse_image,
     is_rel_morphism,
@@ -77,7 +73,6 @@ __all__ = [
     "uniform_mask_blocks",
     "enumerate_uniform_masks",
     "sample_uniform_masks",
-    "family_from_mask",
     "check_contractive",
 ]
 
@@ -360,22 +355,6 @@ def sample_uniform_masks(
         yield m
 
 
-def family_from_mask(chain: DomainChain, mask: int, level: int) -> RelFamily:
-    """The family of the uniform relation given as a pair mask on X_level.
-
-    Only levels 0..level are derived from the mask; when level < N the
-    remaining levels are filled by direct images along the steps, which
-    keeps the family uniform.
-    """
-    rels = [
-        BinRel(chain.levels[m], pair_table(chain.ep(m, level).e).pull(mask))
-        for m in range(level + 1)
-    ]
-    for m in range(level, chain.depth):
-        rels.append(direct_image(chain.steps[m].e, rels[-1]))
-    return make_family(chain, rels)
-
-
 # ---------------------------------------------------------------------------
 # contractiveness
 # ---------------------------------------------------------------------------
@@ -421,10 +400,9 @@ def check_contractive(
     * full: the whole space of uniform relations on X_N fits full_budget;
       every family is enumerated and op applied to each.
     * sections: the space quotiented by the top level fits; every uniform
-      family on the depth-(N-1) prefix is enumerated with a canonical top
-      filler.  Exact for the default operator (whose compared outputs are
-      functions of the prefix); a seeded filler-independence sample backs
-      this for the operator actually used.  Requires the default op.
+      family on the depth-(N-1) prefix is enumerated.  Requires the default
+      op, and is exact for it: psi reads only input levels below N, so its
+      outputs are functions of the prefix (a property the tests pin).
     * sampled: seeded sampling of the full space.
 
     The default operator psi cannot fail the implication, so its check
@@ -492,7 +470,7 @@ def check_contractive(
         groups: list = [dict() for _ in range(depth + 1)]
         for mask in itertools.chain.from_iterable(map(rows_to_masks, blocks)):
             enumerated += 1
-            fam = family_from_mask(chain, mask, level)
+            fam = family_from_limit(chain, BinRel(chain.top, mask))
             out = op(chain, fam)
             ins = tuple(fam[m].mask for m in range(depth))
             outs = tuple(out[m].mask for m in range(depth + 1))
@@ -514,25 +492,5 @@ def check_contractive(
                 break
         report["ok"] = not conflicts
     report["enumerated"] = enumerated
-
-    if strategy == "sections":
-        # the filler-independence sample: rebuilding the same sections with
-        # the projection-based filler must not change the operator output
-        filler_ok = True
-        checked = 0
-        for mask in itertools.islice(
-            sample_uniform_masks(chain, 64, seed + 1, depth - 1), 64
-        ):
-            fam_e = family_from_mask(chain, mask, depth - 1)
-            prefix = list(fam_e.rels[:depth])
-            alt_top = inverse_image(chain.steps[depth - 1].p, prefix[-1])
-            fam_p = make_family(chain, prefix + [alt_top])
-            if psi_step(chain, fam_e) != psi_step(chain, fam_p):
-                filler_ok = False
-                report["ok"] = False
-                conflicts.append({"n": depth, "filler_pair_mask": mask})
-                break
-            checked += 1
-        report["filler_independence"] = {"sampled": checked, "ok": filler_ok}
 
     return report

@@ -55,9 +55,14 @@ __all__ = [
 # bit by bit as Python ints; wider ones go through numpy (unpackbits, then
 # a gather or scatter, then packbits), because the int loop shifts the
 # whole mask once per bit and so grows quadratically with the width.
-# Measured with Python 3.11 and numpy 2.4 on a 2-vCPU VM, one pull along
-# an n-element map (int / numpy): n = 3, 0.7-0.9 / 5-8 us; n = 8, 7-10 /
-# 5-8 us; n = 9 to 10, 12-18 / 5-8 us; n = 32, 230-250 / 9-11 us.
+# Measured with Python 3.11.7 and numpy 2.4.6 on a 2-vCPU VM, one call
+# along an n-element table at n = 7, 8, 9, 10 (int / numpy, us, timeit
+# minimum of 7 x 2000, best of four runs):
+#   pull: 6.2 / 6.2, 9.6 / 6.2, 10.8 / 7.4, 13.6 / 5.5
+#   push: 5.7 / 9.7, 10.2 / 11.0, 11.6 / 11.0, 11.9 / 10.1
+# Numpy wins pull from 64 bits but push only from about 81 bits, along
+# injective and non-injective tables alike, and narrow pushes outnumber
+# narrow pulls: 240 to 36 in one round of the relate_deep benchmark.
 _INT_MAX_BITS = 81
 
 
@@ -220,12 +225,6 @@ class PairTable:
         out[:, targets[starts]] = np.bitwise_or.reduceat(bits[:, order], starts, axis=1)
         return np.packbits(out, axis=1, bitorder="little")
 
-    def _images(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
-        """Set bits of a domain mask and their codomain bits, as arrays."""
-        q = np.flatnonzero(_unpack(mask, self.kx * self.kx))
-        x, y = np.divmod(q, self.kx)
-        return q, self.arr[x] * self.ky + self.arr[y]
-
     def pull(self, mask: int) -> int:
         """The domain bits whose image bit is set in mask."""
         if self.arr is not None:
@@ -240,18 +239,19 @@ class PairTable:
     def push(self, mask: int) -> int:
         """The image bits of the set bits of mask."""
         if self.arr is not None:
+            a, kx, ky = self.arr, self.kx, self.ky
             if self._injective is None:
-                self._injective = len(set(self.arr.tolist())) == self.kx
-            out = np.zeros(self.ky * self.ky, dtype=bool)
+                self._injective = len(set(a.tolist())) == kx
+            out = np.zeros(ky * ky, dtype=bool)
             if self._injective:
                 # distinct pairs land on distinct pairs: scatter the columns,
                 # then the rows, along the table; no kx*kx index is built
-                a, kx = self.arr, self.kx
-                half = np.zeros((kx, self.ky), dtype=bool)
+                half = np.zeros((kx, ky), dtype=bool)
                 half[:, a] = _unpack(mask, kx * kx).reshape(kx, kx)
-                out.reshape(self.ky, self.ky)[a] = half
+                out.reshape(ky, ky)[a] = half
             else:
-                out[self._images(mask)[1]] = True
+                x, y = np.divmod(np.flatnonzero(_unpack(mask, kx * kx)), kx)
+                out[a[x] * ky + a[y]] = True
             return _pack(out)
         index = self._index
         out = 0
@@ -260,21 +260,6 @@ class PairTable:
             out |= 1 << index[low.bit_length() - 1]
             mask ^= low
         return out
-
-    def first_escape(self, mask: int, target: int) -> int | None:
-        """The least set bit of mask whose image bit is clear in target."""
-        if self.arr is not None:
-            q, img = self._images(mask)
-            bad = q[~_unpack(target, self.ky * self.ky)[img]]
-            return int(bad[0]) if bad.size else None
-        index = self._index
-        while mask:
-            low = mask & -mask
-            q = low.bit_length() - 1
-            if not (target >> index[q]) & 1:
-                return q
-            mask ^= low
-        return None
 
 
 def pair_table(f: MonotoneMap) -> PairTable:
@@ -364,12 +349,12 @@ def intersect(rels: Iterable[BinRel], carrier: FinPoset) -> BinRel:
 
 
 def rel_morphism_witness(f: MonotoneMap, r: BinRel, s: BinRel):
-    """The least pair of R, in (x, y) order, not carried into S by f, or
-    None if f : R -> S."""
+    """f : R -> S exactly when R is inside the inverse image f*S.  The
+    least pair of R outside f*S, in (x, y) order, or None if f : R -> S."""
     if r.carrier != f.dom or s.carrier != f.cod:
         raise TypeMismatch("relation morphism: carriers must match dom/cod")
-    q = pair_table(f).first_escape(r.mask, s.mask)
-    return None if q is None else divmod(q, f.dom.n)
+    escapes = r.mask & ~pair_table(f).pull(s.mask)
+    return divmod((escapes & -escapes).bit_length() - 1, f.dom.n) if escapes else None
 
 
 def is_rel_morphism(f: MonotoneMap, r: BinRel, s: BinRel) -> bool:

@@ -153,7 +153,6 @@ def test_criterion_05_contractiveness():
         assert report["counterexamples"] == []
     assert refl_report["strategy"] == "full"  # 6425 families, outright
     assert lazy_report["strategy"] == "sections"  # prefix-exact coverage
-    assert lazy_report["filler_independence"]["ok"] is True
     assert time.monotonic() - t0 < 120.0
 
 

@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from relfix.chain import build_chain, diagonal_family, make_family, total_family
+from relfix.chain import (
+    build_chain,
+    diagonal_family,
+    family_from_limit,
+    make_family,
+    total_family,
+)
 from relfix.cofe import (
     CauchySeq,
     Distance,
     check_contractive,
     cofe_limit,
     enumerate_uniform_masks,
-    family_from_mask,
     n_equal,
     ofe_distance,
     prefix_equal,
@@ -23,7 +28,14 @@ from relfix.cofe import (
 from relfix.engines import psi_step, solve_kleene
 from relfix.errors import NotCauchy, TypeMismatch
 from relfix.functor import Lift, Var
-from relfix.relations import BinRel, diagonal, intersect
+from relfix.relations import (
+    BinRel,
+    bottom_rel,
+    diagonal,
+    intersect,
+    inverse_image,
+    total_rel,
+)
 from relfix.suites import canonical_specs
 
 
@@ -62,7 +74,8 @@ def test_distances():
 
 def test_distance_is_an_ultrametric():
     ch = small_lazy(1)
-    fams = [family_from_mask(ch, m, 1) for m in enumerate_uniform_masks(ch)]
+    masks = enumerate_uniform_masks(ch)
+    fams = [family_from_limit(ch, BinRel(ch.top, m)) for m in masks]
     sample = fams[:: max(1, len(fams) // 16)]
     for r in sample:
         for s in sample:
@@ -125,7 +138,7 @@ def test_enumerated_masks_give_uniform_families():
     masks = list(enumerate_uniform_masks(ch))
     assert len(masks) == 8
     for mask in masks:
-        fam = family_from_mask(ch, mask, 1)
+        fam = family_from_limit(ch, BinRel(ch.top, mask))
         assert is_uniform_family(fam)
         assert fam[1].mask == mask
         assert BinRel(ch.levels[1], mask) == fam[1]
@@ -169,6 +182,23 @@ def test_check_contractive_sampled_strategy():
     assert report["seed"] == 3
 
 
+@pytest.mark.parametrize(
+    "name, depth", [("lazy_nat", 3), ("reflexive", 2), ("streams", 2)]
+)
+def test_psi_reads_no_input_level_above_n_minus_one(name, depth):
+    # the sections strategy of check_contractive never builds a top level;
+    # it is exact only because psi's outputs ignore the input's level N
+    chain = build_chain(canonical_specs()[name][0], depth)
+    top = chain.levels[depth]
+    for mask in sample_uniform_masks(chain, count=64, seed=1):
+        fam = family_from_limit(chain, BinRel(top, mask))
+        out = psi_step(chain, fam)
+        prefix = list(fam.rels[:depth])
+        filler = inverse_image(chain.steps[depth - 1].p, prefix[-1])
+        for alt in (filler, total_rel(top), bottom_rel(top)):
+            assert psi_step(chain, make_family(chain, prefix + [alt])) == out
+
+
 def _mix_top(chain, fam):
     """psi with its top output level cut down by the input's top level.
     Its output levels below N are psi's, so it fails only at n = N."""
@@ -186,7 +216,7 @@ def _contractive_oracle(chain, op):
     stopped_early)."""
     masks, fams, outs, found = [], [], [], []
     for mask in enumerate_uniform_masks(chain):
-        fam = family_from_mask(chain, mask, chain.depth)
+        fam = family_from_limit(chain, BinRel(chain.top, mask))
         out = op(chain, fam)
         for n in range(chain.depth + 1):
             j = next(j for j, r in enumerate(fams + [fam]) if prefix_equal(r, fam, n))

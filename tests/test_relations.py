@@ -221,14 +221,6 @@ def test_batch_images_match_the_scalar_ones_row_by_row(case):
     ]
 
 
-def _images_push(pt: PairTable, mask: int) -> int:
-    """push as a scatter of the images of the set bits, the numpy path
-    every table took before injective ones got their own scatter."""
-    out = np.zeros(pt.ky * pt.ky, dtype=bool)
-    out[pt._images(mask)[1]] = True
-    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
-
-
 @given(batch_cases())
 def test_push_is_the_pair_image_on_both_kinds_of_table(case):
     table, pt, dom, _ = case
@@ -237,7 +229,6 @@ def test_push_is_the_pair_image_on_both_kinds_of_table(case):
         image = {(table[x], table[y]) for x, y in pairs}
         assert pt.push(mask) == sum(1 << (a * pt.ky + b) for a, b in image)
         if pt.arr is not None:
-            assert pt.push(mask) == _images_push(pt, mask)
             assert pt._injective == (len(set(table)) == len(table))
 
 
