@@ -410,9 +410,11 @@ def check_contractive(
     and its output level m+1 is eval_rel(F, R_m, R_m), so its output
     levels up to n are a function of the input levels below n: families
     that agree below n get outputs that agree up to n.  The check still
-    runs psi levelwise over the whole space, so that every input level
-    meets eval_rel (and its caps): each block of packed masks is pulled to
-    every input level, and eval_rel runs once on each new (level, mask).
+    runs psi levelwise over the enumerated space: each block of packed
+    masks is pulled to every level below the enumeration level, and
+    eval_rel (with its caps) runs once on each new (level, mask).  In full
+    mode those are all the levels psi reads, 0..N-1; on sections they are
+    0..N-2, and the section masks at level N-1 never meet eval_rel.
 
     A custom op runs once per family, in enumeration order.  For each n,
     the first family with given input levels below n is the witness of

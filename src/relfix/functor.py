@@ -55,6 +55,7 @@ from .relations import (
     PairTable,
     bottom_index,
     bottom_rel,
+    cached_pair_table,
     diagonal,
     is_admissible,
     is_rel_morphism,
@@ -246,10 +247,6 @@ def _prod_projections(x: FinPoset, y: FinPoset, caps: Caps):
     for (a, b), i in np.ndenumerate(idx):
         left[i], right[i] = a, b
     return p, PairTable(left, x.n), PairTable(right, y.n)
-
-
-# The injections of lift and sum as pair tables, cached by (table, size).
-_injection = lru_cache(maxsize=None)(PairTable)
 
 
 @lru_cache(maxsize=None)
@@ -467,7 +464,7 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
     if isinstance(f, Lift):
         r = _eval_rel(f.body, rneg, spos, caps)
         p, _, ups = _lift_c(r.carrier, caps)
-        return BinRel(p, _injection(ups, p.n).push(r.mask) | 1 << bottom_index(p))
+        return BinRel(p, cached_pair_table(ups, p.n).push(r.mask) | 1 << bottom_index(p))
     if isinstance(f, Prod):
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
@@ -485,7 +482,7 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
         p, _, inl, inr = _sum_c(rl.carrier, rr.carrier, caps)
-        mask = _injection(inl, p.n).push(rl.mask) | _injection(inr, p.n).push(rr.mask)
+        mask = cached_pair_table(inl, p.n).push(rl.mask) | cached_pair_table(inr, p.n).push(rr.mask)
         return BinRel(p, mask | 1 << bottom_index(p))
     if isinstance(f, Fun):
         ra = _eval_rel(f.left, spos, rneg, caps)

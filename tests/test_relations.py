@@ -193,8 +193,10 @@ def test_mask_operations_match_pair_set_semantics(case):
 def batch_cases(draw):
     """An element table between carriers whose masks are 1 to 400 bits
     wide (injective, drawn without replacement, or arbitrary), with a
-    batch of masks on each end."""
-    kx, ky = (draw(st.sampled_from([1, 3, 5, 9, 10, 12, 20])) for _ in range(2))
+    batch of masks on each end.  Carriers of at most 9 elements (81 bits)
+    give narrow tables, the rest wide ones."""
+    carriers = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 20])
+    kx, ky = (draw(carriers) for _ in range(2))
     if draw(st.booleans()):
         kx, ky = min(kx, ky), max(kx, ky)
         table = draw(st.permutations(range(ky)))[:kx]
@@ -216,9 +218,31 @@ def test_batch_images_match_the_scalar_ones_row_by_row(case):
     assert rows_to_masks(cod_rows) == cod
     assert rows_to_masks(pt.pull_rows(cod_rows)) == [pt.pull(m) for m in cod]
     assert rows_to_masks(pt.push_rows(dom_rows)) == [pt.push(m) for m in dom]
-    assert rows_le(cod_rows[:, None], cod_rows[None, :]).tolist() == [
-        [(a | b) == b for b in cod] for a in cod
-    ]
+    for order in "CF":
+        rows = np.array(cod_rows, order=order)
+        assert rows_le(rows[:, None], rows[None, :]).tolist() == [
+            [(a | b) == b for b in cod] for a in cod
+        ]
+
+
+@given(batch_cases(), st.integers(0, 255))
+def test_batch_images_are_c_rows_that_ignore_bits_above_the_width(case, junk):
+    _, pt, dom, cod = case
+    for rows_of, masks, w_in, w_out in [
+        (pt.pull_rows, cod, pt.ky * pt.ky, pt.kx * pt.kx),
+        (pt.push_rows, dom, pt.kx * pt.kx, pt.ky * pt.ky),
+    ]:
+        rows = masks_to_rows(masks, w_in)
+        out = rows_of(rows)
+        assert out.dtype == np.uint8 and out.shape == (len(masks), (w_out + 7) // 8)
+        # the lookup path returns C rows; the unpack path returns packbits'
+        # layout, which rows_le does not depend on
+        assert out.flags.c_contiguous or pt.arr is not None
+        # set bits above the width in the last byte of each row are not
+        # part of the mask, as for unpackbits(count=width)
+        padded = rows.copy()
+        padded[:, -1] |= junk & (0xFF << (w_in - 1) % 8 + 1) & 0xFF
+        assert np.array_equal(rows_of(padded), out)
 
 
 @given(batch_cases())
