@@ -45,6 +45,7 @@ from .karoubi import (
     enumerate_canonical_idempotents,
     karoubi_rel_fiber,
 )
+from .poset import monotone_tables
 from .report import make_report, write_report
 from .suites import all_suites, run_suite
 
@@ -230,9 +231,13 @@ def cmd_check(args) -> int:
         print(f"check[{key}]: {seconds:.3f}s", file=sys.stderr)
 
     t0 = time.monotonic()
+    before = monotone_tables.cache_info()
     result = run_suite(args.suite, on_suite=timed if args.timings else None)
     if args.timings:
         print(f"check[{args.suite}]: {time.monotonic() - t0:.3f}s", file=sys.stderr)
+        after = monotone_tables.cache_info()
+        print(f"monotone_tables: {after.misses - before.misses} poset pairs enumerated, "
+              f"{after.hits - before.hits} cache hits", file=sys.stderr)
     _emit(args, make_report("check", args.suite, args.seed or 0, result))
     return EXIT_OK if result["ok"] else EXIT_VERIFICATION
 

@@ -41,10 +41,10 @@ from .errors import (
 from .poset import (
     FinPoset,
     MonotoneMap,
-    enumerate_monotone_maps,
     hom_poset,
     identity_map,
     lift,
+    monotone_tables,
     one,
     product,
     small_pointed_posets,
@@ -560,9 +560,8 @@ def check_functor_laws(
     def maps_between(x: FinPoset, y: FinPoset):
         """The monotone maps x -> y, their tables as one array, and the tables'
         codes in radix y.n (ascending: the enumeration is lexicographic)."""
-        tables = list(enumerate_monotone_maps(x, y))
-        arr = np.array(tables, dtype=np.int64).reshape(len(tables), x.n)
-        return [MonotoneMap(x, y, t) for t in tables], arr, arr @ y.n ** np.arange(x.n)[::-1]
+        arr = monotone_tables(x, y)
+        return [MonotoneMap(x, y, t) for t in arr.tolist()], arr, arr @ y.n ** np.arange(x.n)[::-1]
 
     def composite(x, y, z, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Each (g-th map y -> z) @ (h-th map x -> y) as an index into x -> z."""

@@ -31,8 +31,8 @@ from .poset import (
     MonotoneMap,
     _check_size,
     const_map,
-    enumerate_monotone_maps,
     identity_map,
+    monotone_tables,
     validate_poset,
 )
 from .relations import BinRel, admissible_masks, inverse_image
@@ -219,15 +219,10 @@ def splitting_iso(s1: Splitting, s2: Splitting, verify_unique: bool | None = Non
     if verify_unique is None:
         verify_unique = s1.im.n <= 4
     if verify_unique:
-        hits = [
-            t
-            for t in enumerate_monotone_maps(s1.im, s2.im)
-            if s2.s @ MonotoneMap(s1.im, s2.im, t) == s1.s
-        ]
-        if hits != [i.table]:
-            raise LawViolation(
-                "splitting iso is not unique", candidates=len(hits)
-            )
+        t = monotone_tables(s1.im, s2.im)
+        hits = t[(s2.s.arr[t] == s1.s.arr).all(axis=1)].tolist()
+        if hits != [list(i.table)]:
+            raise LawViolation("splitting iso is not unique", candidates=len(hits))
     return i, i_inv
 
 
@@ -239,13 +234,10 @@ def karoubi_hom_check(f: MonotoneMap, a: KaroubiObj, b: KaroubiObj) -> bool:
 
 
 def karoubi_homs(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> list:
-    """All envelope morphisms a -> b, in deterministic order."""
-    out = []
-    for t in enumerate_monotone_maps(a.X, b.X, max_count=caps.max_pairs):
-        f = MonotoneMap(a.X, b.X, t)
-        if karoubi_hom_check(f, a, b):
-            out.append(f)
-    return out
+    """All envelope morphisms a -> b: the cached table rows f with fp = f = qf."""
+    t = monotone_tables(a.X, b.X, caps.max_pairs)
+    keep = (t[:, a.p.mor.arr] == t).all(axis=1) & (b.p.mor.arr[t] == t).all(axis=1)
+    return [MonotoneMap(a.X, b.X, row) for row in t[keep].tolist()]
 
 
 def karoubi_bottom_hom(a: KaroubiObj, b: KaroubiObj) -> MonotoneMap:
@@ -297,11 +289,24 @@ def _hat_split(f: FunctorExpr, a: KaroubiObj, caps: Caps) -> Splitting:
 def _ed_order(d: FinPoset, caps: Caps) -> tuple:
     """E_D and its idempotent-order matrix, computed once per poset.
 
-    Every pair goes through idem_leq, so both order conditions are cross
-    asserted on all k^2 pairs.
+    Both order conditions of idem_leq are decided on all k^2 pairs over
+    the k x n table array, a block of p rows at a time (each intermediate
+    holds at most 2^19 entries); a pair where they disagree goes through
+    idem_leq, which raises EquivalenceMismatch with its witness.
     """
     idems = tuple(enumerate_canonical_idempotents(d, caps))
-    leq = np.array([[idem_leq(p, q) for q in idems] for p in idems], dtype=bool)
+    t = np.array([p.mor.table for p in idems], dtype=np.int64)
+    flat, off = t.ravel(), np.arange(len(t))[:, None] * d.n  # q(v) = flat[off + v]
+    leq = np.empty((len(t), len(t)), dtype=bool)
+    step = max(1, (1 << 19) // t.size)
+    for lo in range(0, len(t), step):
+        p = t[lo : lo + step]
+        pq = p[:, t]  # [i, j, x] = p_i(q_j(x))
+        cond_a = (pq == p[:, None]).all(2) & (flat[off + p[:, None]] == p[:, None]).all(2)
+        cond_b = (flat[off + pq] == p[:, None]).all(2)
+        leq[lo : lo + step] = cond_a
+        for i, j in np.argwhere(cond_a != cond_b).tolist():
+            leq[lo + i, j] = idem_leq(idems[lo + i], idems[j])
     leq.setflags(write=False)
     return idems, leq
 

@@ -18,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "sum_sep",
     "hom_poset",
     "enumerate_monotone_maps",
+    "monotone_tables",
     "monotone_map",
     "identity_map",
     "const_map",
@@ -404,6 +405,17 @@ def enumerate_monotone_maps(x: FinPoset, y: FinPoset, max_count: int | None = No
             yield from rec(i + 1)
 
     yield from rec(0)
+
+
+@lru_cache(maxsize=None)
+def monotone_tables(x: FinPoset, y: FinPoset, max_count: int | None = None) -> np.ndarray:
+    """Every monotone table x -> y as one read-only (m, x.n) int64 array, in
+    enumerate_monotone_maps order, enumerated once per (x, y, max_count) per
+    process.  Over the cap every call raises: lru_cache caches no exception.
+    The array is never empty, since every constant map is monotone."""
+    arr = np.array(list(enumerate_monotone_maps(x, y, max_count)), dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
 
 
 def hom_poset(x: FinPoset, y: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:

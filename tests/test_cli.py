@@ -269,4 +269,18 @@ def test_check_timings_name_each_suite_and_leave_the_report_alone():
     assert plain.stderr == ""
     names = [line.split(":")[0] for line in timed.stderr.splitlines()]
     suites = ["lemma2", "functor_laws", "adjunction", "contractive", "karoubi", "duality"]
-    assert names == [f"check[{s}]" for s in suites + ["all"]]
+    assert names == [f"check[{s}]" for s in suites + ["all"]] + ["monotone_tables"]
+
+
+def test_check_timings_count_the_hom_table_cache():
+    plain = run_cli("check", "--suite", "karoubi")
+    timed = run_cli("check", "--suite", "karoubi", "--timings")
+    assert plain.returncode == timed.returncode == 0, timed.stderr
+    assert timed.stdout == plain.stdout
+    assert plain.stderr == ""
+    lines = timed.stderr.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["check[karoubi]", "monotone_tables"]
+    m = re.fullmatch(r"monotone_tables: (\d+) poset pairs enumerated, (\d+) cache hits", lines[1])
+    assert m is not None, lines[1]
+    # each hom-set is enumerated once and then served from the cache
+    assert 0 < int(m.group(1)) < int(m.group(2))

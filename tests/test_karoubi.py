@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+from relfix import karoubi
+from relfix.config import DEFAULT_CAPS, Caps
 from relfix.errors import (
     EquivalenceMismatch,
     LawViolation,
@@ -18,6 +20,7 @@ from relfix.karoubi import (
     Idempotent,
     KaroubiObj,
     Splitting,
+    _ed_order,
     _order_axioms,
     ed_cpo_check,
     ed_slice_equivalence,
@@ -33,17 +36,19 @@ from relfix.karoubi import (
     splitting_iso,
 )
 from relfix.poset import (
+    MonotoneMap,
     chain_poset,
     const_map,
     enumerate_monotone_maps,
     identity_map,
     monotone_map,
+    monotone_tables,
     one,
     small_pointed_posets,
     validate_poset,
 )
 from relfix.relations import diagonal, inverse_image
-from relfix.suites import diamond
+from relfix.suites import _all_idempotents, diamond
 
 C2 = chain_poset(2)
 C3 = chain_poset(3)
@@ -305,3 +310,75 @@ def test_rel_fiber_respects_the_pair_cap():
     p = Idempotent(C3, identity_map(C3))
     with pytest.raises(SizeCapExceeded):
         karoubi_rel_fiber(KaroubiObj(C3, p), Caps(max_elements=100, max_pairs=100))
+
+
+def scalar_idempotents(d) -> list:
+    """Every idempotent endomap of d, by a scalar filter of the enumeration."""
+    return [t for t in enumerate_monotone_maps(d, d) if all(t[t[v]] == t[v] for v in range(d.n))]
+
+
+def test_karoubi_homs_match_the_scalar_filter_on_every_pair():
+    objs = []
+    for d in small_pointed_posets():
+        tables = scalar_idempotents(d)
+        assert [p.mor.table for p in _all_idempotents(d)] == tables
+        objs += [KaroubiObj(d, Idempotent(d, monotone_map(d, d, t))) for t in tables]
+    for a, b in itertools.product(objs, repeat=2):
+        want = [
+            t
+            for t in enumerate_monotone_maps(a.X, b.X)
+            if karoubi_hom_check(monotone_map(a.X, b.X, t), a, b)
+        ]
+        assert [f.table for f in karoubi_homs(a, b)] == want, (a.p.mor, b.p.mor)
+
+
+def test_karoubi_homs_share_one_read_only_table_array():
+    a = KaroubiObj(C3, Idempotent(C3, identity_map(C3)))
+    homs = karoubi_homs(a, a)
+    assert len(homs) == 10
+    homs.clear()
+    assert len(karoubi_homs(a, a)) == 10  # a fresh list on every call
+    tables = monotone_tables(C3, C3, DEFAULT_CAPS.max_pairs)
+    assert tables is monotone_tables(C3, C3, DEFAULT_CAPS.max_pairs)
+    assert tables.tolist() == [list(t) for t in enumerate_monotone_maps(C3, C3)]
+    assert not tables.flags.writeable
+    with pytest.raises(ValueError):
+        tables[0, 0] = 1
+    # lru_cache keeps no exception, so the cap is enforced on every call
+    small = Caps(max_elements=100, max_pairs=9)
+    for _ in range(2):
+        with pytest.raises(SizeCapExceeded):
+            karoubi_homs(a, a, small)
+
+
+@pytest.mark.parametrize(
+    "d",
+    small_pointed_posets() + [diamond()] + [chain_poset(n) for n in range(4, 10)],
+    ids=repr,
+)
+def test_array_idempotent_order_matches_idem_leq(d, monkeypatch):
+    # chain(9) has 256 idempotents, which the array path decides in two blocks
+    rechecked = []
+    monkeypatch.setattr(karoubi, "idem_leq", lambda p, q: rechecked.append((p, q)))
+    idems, leq = _ed_order.__wrapped__(d, DEFAULT_CAPS)
+    assert rechecked == []  # both conditions agree on every pair of idempotents
+    assert leq.tolist() == [[idem_leq(p, q) for q in idems] for p in idems]
+
+
+def test_array_idempotent_order_raises_the_scalar_witness(monkeypatch):
+    # all 27 endofunctions of the three-chain posing as idempotents: the two
+    # order conditions agree on idempotents, but not on these
+    fakes = []
+    for t in itertools.product(range(3), repeat=3):
+        p = object.__new__(Idempotent)
+        object.__setattr__(p, "carrier", C3)
+        object.__setattr__(p, "mor", MonotoneMap(C3, C3, t))
+        fakes.append(p)
+    with pytest.raises(EquivalenceMismatch) as want:
+        for p in fakes:
+            for q in fakes:
+                idem_leq(p, q)
+    monkeypatch.setattr(karoubi, "enumerate_canonical_idempotents", lambda d, caps: fakes)
+    with pytest.raises(EquivalenceMismatch) as got:
+        _ed_order.__wrapped__(C3, DEFAULT_CAPS)
+    assert got.value.details == want.value.details
