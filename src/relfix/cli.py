@@ -46,6 +46,7 @@ from .karoubi import (
     karoubi_rel_fiber,
 )
 from .poset import monotone_tables
+from .relations import wide_table_counts
 from .report import make_report, write_report
 from .suites import all_suites, run_suite
 
@@ -163,6 +164,7 @@ def cmd_relate(args) -> int:
     spec, depth, caps, seed = _load_spec(args)
     t0 = time.monotonic()
     before = dict(rel_cache_counts)
+    wide_table_counts.update(tables=0, runs=0, largest=(0, 0))
     chain = build_chain(spec.functor, depth, caps)
     if args.method == "all":
         result = compare_methods(chain)
@@ -194,6 +196,9 @@ def cmd_relate(args) -> int:
         print(f"relate[{args.method}]: {time.monotonic() - t0:.3f}s", file=sys.stderr)
         calls, hits = (rel_cache_counts[k] - before[k] for k in ("calls", "hits"))
         print(f"eval_rel: {calls} calls, {hits} answered by the last-call cache", file=sys.stderr)
+        w = wide_table_counts
+        print(f"pair_tables: {w['tables']} wide built, {w['runs']} of them runs, "
+              f"largest {w['largest'][0]} -> {w['largest'][1]}", file=sys.stderr)
     _emit(args, make_report("relate", spec.source, seed, result))
     return EXIT_OK
 

@@ -10,7 +10,9 @@ upward are the pairs in (x, y) order.  This module is the only one that
 knows that layout.  Everything else goes through BinRel, whose pairs,
 matrix, sorted_pairs and len are views of the mask, and through
 PairTable, the action of an element map on pair bits: pull is the
-inverse image and push the direct image.
+inverse image and push the direct image.  On wide masks both work
+through the table's image: along a run o, o+1, ..., each is one block
+slice, and any other pull gathers the columns on the image rows only.
 
 A batch of masks is one 2-D uint8 array of packed rows, row i holding
 mask i in the little-endian layout of one packed mask (bit q in byte
@@ -52,6 +54,7 @@ __all__ = [
     "intersect",
     "is_rel_morphism",
     "rel_morphism_witness",
+    "wide_table_counts",
 ]
 
 # Masks of at most this many bits (n*n on an n-element carrier) are worked
@@ -69,6 +72,9 @@ __all__ = [
 # injective and non-injective tables alike, and narrow pushes outnumber
 # narrow pulls: 240 to 36 in one round of the relate_deep benchmark.
 _INT_MAX_BITS = 81
+
+# Wide pair tables built, how many are runs, and the largest (kx, ky) by kx * ky.
+wide_table_counts = {"tables": 0, "runs": 0, "largest": (0, 0)}
 
 
 def _unpack(mask: int, width: int) -> np.ndarray:
@@ -205,20 +211,29 @@ class BinRel:
 
 class PairTable:
     """An element table t from a kx- to a ky-element carrier, acting on
-    pair bits: bit x*kx + y goes to bit t[x]*ky + t[y]."""
+    pair bits: bit x*kx + y goes to bit t[x]*ky + t[y].  A wide table (arr
+    set) has run = o when it is o, o+1, ..., o+kx-1; any other has its
+    image (v, inv): its distinct values ascending, with arr == v[inv]."""
 
-    __slots__ = ("kx", "ky", "arr", "_index", "_cols", "_injective", "_luts")
+    __slots__ = ("kx", "ky", "arr", "run", "image", "_index", "_cols", "_luts")
 
     def __init__(self, table: Sequence[int], ky: int):
         self.kx = kx = len(table)
         self.ky = ky
-        self.arr = None
-        self._index = None
-        self._cols = None
-        self._injective = None
+        self.arr = self.run = self.image = self._index = self._cols = None
         self._luts = {}
         if max(kx, ky) ** 2 > _INT_MAX_BITS:
-            self.arr = np.asarray(table, dtype=np.int64)
+            a = self.arr = np.asarray(table, dtype=np.int64)
+            if a[-1] - a[0] == kx - 1 and (np.diff(a) == 1).all():
+                self.run = int(a[0])
+            else:
+                seen = np.zeros(ky, dtype=bool)
+                seen[a] = True
+                self.image = np.flatnonzero(seen), (np.cumsum(seen) - 1)[a]
+            counts = wide_table_counts
+            counts["tables"] += 1
+            counts["runs"] += self.run is not None
+            counts["largest"] = max(counts["largest"], (kx, ky), key=lambda t: t[0] * t[1])
         else:
             self._index = [a * ky + b for a in table for b in table]
 
@@ -270,8 +285,12 @@ class PairTable:
     def pull(self, mask: int) -> int:
         """The domain bits whose image bit is set in mask."""
         if self.arr is not None:
-            k, t = self.ky, self.arr
-            return _pack(_unpack(mask, k * k).reshape(k, k).take(t, 0).take(t, 1))
+            k, o = self.ky, self.run
+            u = _unpack(mask, k * k).reshape(k, k)
+            if o is None:  # gather columns on the image rows only, then copy rows
+                v, inv = self.image
+                return _pack(u.take(v, 0).take(self.arr, 1).take(inv, 0))
+            return _pack(u[o : o + self.kx, o : o + self.kx])
         out = 0
         for q, j in enumerate(self._index):
             if (mask >> j) & 1:
@@ -281,19 +300,20 @@ class PairTable:
     def push(self, mask: int) -> int:
         """The image bits of the set bits of mask."""
         if self.arr is not None:
-            a, kx, ky = self.arr, self.kx, self.ky
-            if self._injective is None:
-                self._injective = len(set(a.tolist())) == kx
-            out = np.zeros(ky * ky, dtype=bool)
-            if self._injective:
+            a, kx, ky, o = self.arr, self.kx, self.ky, self.run
+            bits = _unpack(mask, kx * kx).reshape(kx, kx)
+            out = np.zeros((ky, ky), dtype=bool)
+            if o is not None:
+                out[o : o + kx, o : o + kx] = bits
+            elif len(self.image[0]) == kx:
                 # distinct pairs land on distinct pairs: scatter the columns,
                 # then the rows, along the table; no kx*kx index is built
                 half = np.zeros((kx, ky), dtype=bool)
-                half[:, a] = _unpack(mask, kx * kx).reshape(kx, kx)
-                out.reshape(ky, ky)[a] = half
+                half[:, a] = bits
+                out[a] = half
             else:
-                x, y = np.divmod(np.flatnonzero(_unpack(mask, kx * kx)), kx)
-                out[a[x] * ky + a[y]] = True
+                x, y = np.nonzero(bits)
+                out[a[x], a[y]] = True
             return _pack(out)
         index = self._index
         out = 0

@@ -255,10 +255,27 @@ def test_timings_go_to_stderr_only():
     assert timed.stdout == plain.stdout
     assert plain.stderr == ""
     lines = timed.stderr.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["relate[all]", "eval_rel"]
+    assert [line.split(":")[0] for line in lines] == ["relate[all]", "eval_rel", "pair_tables"]
     m = re.fullmatch(r"eval_rel: (\d+) calls, (\d+) answered by the last-call cache", lines[1])
     assert m is not None, lines[1]
     assert 0 < int(m.group(2)) < int(m.group(1))
+
+
+def test_relate_timings_count_the_wide_pair_tables():
+    # streams at depth 4 has 31 elements: the upper levels' tables are wide,
+    # and the lift and sum injections among them are runs
+    spec = str(SPECS / "streams.spec")
+    plain = run_cli("relate", "--spec", spec)
+    timed = run_cli("relate", "--spec", spec, "--timings")
+    assert plain.returncode == timed.returncode == 0, timed.stderr
+    assert timed.stdout == plain.stdout
+    assert plain.stderr == ""
+    last = timed.stderr.splitlines()[-1]
+    m = re.fullmatch(r"pair_tables: (\d+) wide built, (\d+) of them runs, largest (\d+) -> (\d+)", last)
+    assert m is not None, last
+    tables, runs, kx, ky = map(int, m.groups())
+    assert 0 < runs < tables
+    assert max(kx, ky) == 31
 
 
 def test_check_timings_name_each_suite_and_leave_the_report_alone():

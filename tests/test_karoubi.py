@@ -382,3 +382,21 @@ def test_array_idempotent_order_raises_the_scalar_witness(monkeypatch):
     with pytest.raises(EquivalenceMismatch) as got:
         _ed_order.__wrapped__(C3, DEFAULT_CAPS)
     assert got.value.details == want.value.details
+
+
+@pytest.mark.parametrize(
+    "d",
+    small_pointed_posets() + [diamond()] + [chain_poset(n) for n in range(4, 9)],
+    ids=repr,
+)
+def test_array_inclusion_monotone_matches_pointwise_leq(d, monkeypatch):
+    # the karoubi suite's corpus5 and chain(6..8); the real order passes, and
+    # its transpose and the full matrix fail unless E_D has one element
+    idems, leq = _ed_order(d, DEFAULT_CAPS)
+    for order in (leq, leq.T, np.ones_like(leq)):
+        scalar = all(
+            idems[i].mor.pointwise_leq(idems[j].mor) for i, j in zip(*np.nonzero(order))
+        )
+        assert scalar == (order is leq or len(idems) == 1)
+        monkeypatch.setattr(karoubi, "_ed_order", lambda d, caps: (idems, order))
+        assert ed_cpo_check(d)["checks"]["inclusion_monotone"] is scalar

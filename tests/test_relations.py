@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -192,21 +193,48 @@ def test_mask_operations_match_pair_set_semantics(case):
 @st.composite
 def batch_cases(draw):
     """An element table between carriers whose masks are 1 to 400 bits
-    wide (injective, drawn without replacement, or arbitrary), with a
-    batch of masks on each end.  Carriers of at most 9 elements (81 bits)
-    give narrow tables, the rest wide ones."""
+    wide, with a batch of masks on each end.  The table is injective (drawn
+    without replacement), a run o, o+1, ..., o+kx-1 at any offset,
+    arbitrary, or few-valued (1 to 3 distinct values on at least 10
+    elements, so that it is wide).  Carriers of at most 9 elements (81
+    bits) give narrow tables, the rest wide ones."""
     carriers = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 20])
     kx, ky = (draw(carriers) for _ in range(2))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["injective", "run", "arbitrary", "few-valued"]))
+    if kind in ("injective", "run"):
         kx, ky = min(kx, ky), max(kx, ky)
+    if kind == "injective":
         table = draw(st.permutations(range(ky)))[:kx]
+    elif kind == "run":
+        o = draw(st.integers(0, ky - kx))
+        table = list(range(o, o + kx))
     else:
-        table = draw(st.lists(st.integers(0, ky - 1), min_size=kx, max_size=kx))
+        values = range(ky)
+        if kind == "few-valued":
+            kx = max(kx, 10)
+            values = draw(st.lists(st.integers(0, ky - 1), min_size=1, max_size=3))
+        table = draw(st.lists(st.sampled_from(values), min_size=kx, max_size=kx))
     batch = st.integers(min_value=0, max_value=5)
     n_dom, n_cod = draw(batch), draw(batch)
     dom = [draw(st.integers(0, (1 << kx * kx) - 1)) for _ in range(n_dom)]
     cod = [draw(st.integers(0, (1 << ky * ky) - 1)) for _ in range(n_cod)]
     return table, PairTable(table, ky), dom, cod
+
+
+def pair_set_images(table, ky, dom_mask, cod_mask):
+    """The pull of cod_mask and the push of dom_mask along table, as pair
+    set comprehensions turned back into masks."""
+    kx = len(table)
+    pulled = {
+        (x, y) for x in range(kx) for y in range(kx)
+        if cod_mask >> (table[x] * ky + table[y]) & 1
+    }
+    pairs = [divmod(q, kx) for q in range(kx * kx) if dom_mask >> q & 1]
+    pushed = {(table[x], table[y]) for x, y in pairs}
+    return (
+        sum(1 << (x * kx + y) for x, y in pulled),
+        sum(1 << (a * ky + b) for a, b in pushed),
+    )
 
 
 @given(batch_cases())
@@ -249,11 +277,61 @@ def test_batch_images_are_c_rows_that_ignore_bits_above_the_width(case, junk):
 def test_push_is_the_pair_image_on_both_kinds_of_table(case):
     table, pt, dom, _ = case
     for mask in dom:
-        pairs = [divmod(q, pt.kx) for q in range(pt.kx * pt.kx) if mask >> q & 1]
-        image = {(table[x], table[y]) for x, y in pairs}
-        assert pt.push(mask) == sum(1 << (a * pt.ky + b) for a, b in image)
+        assert pt.push(mask) == pair_set_images(table, pt.ky, mask, 0)[1]
         if pt.arr is not None:
-            assert pt._injective == (len(set(table)) == len(table))
+            injective = pt.run is not None or len(pt.image[0]) == pt.kx
+            assert injective == (len(set(table)) == len(table))
+
+
+@given(batch_cases())
+def test_pull_is_the_pair_preimage_on_every_kind_of_table(case):
+    table, pt, _, cod = case
+    for mask in cod:
+        assert pt.pull(mask) == pair_set_images(table, pt.ky, 0, mask)[0]
+    if pt.arr is not None:
+        runs = [o for o in range(pt.ky) if table == list(range(o, o + pt.kx))]
+        assert pt.run == (runs[0] if runs else None)
+        if not runs:
+            values, inv = pt.image
+            assert values.tolist() == sorted(set(table))
+            assert np.array_equal(values[inv], pt.arr)
+
+
+@pytest.mark.parametrize("kx, ky", [(1, 10), (4, 12), (10, 10), (10, 12), (12, 20)])
+def test_run_tables_at_every_offset_are_block_slices(kx, ky):
+    # every offset from 0 to ky - kx: the identity when kx == ky, a run
+    # ending at ky - 1 at the last offset, a one-element table when kx == 1
+    rng = random.Random(kx * 100 + ky)
+    for o in range(ky - kx + 1):
+        table = list(range(o, o + kx))
+        pt = PairTable(table, ky)
+        assert pt.arr is not None and pt.run == o
+        for _ in range(3):
+            dom_mask, cod_mask = rng.getrandbits(kx * kx), rng.getrandbits(ky * ky)
+            assert (pt.pull(cod_mask), pt.push(dom_mask)) == pair_set_images(
+                table, ky, dom_mask, cod_mask
+            )
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [0, 1, 2, 3, 4, 6, 7, 8, 9, 10],  # one gap
+        [2, 3, 4, 5, 6, 7, 8, 9, 10, 12],  # one gap before the last entry
+        [0, 2, 1, 3, 4, 5, 6, 7, 8, 9],  # a permutation of a run, ends fixed
+        [3, 4, 5, 6, 7, 8, 9, 10, 11, 2],  # a rotation of a run
+        [0, 1, 1, 3, 4, 5, 6, 7, 8, 9],  # a repeat where the run would step
+    ],
+)
+def test_tables_that_are_not_runs_do_not_take_the_run_path(table):
+    pt = PairTable(table, 13)
+    assert pt.arr is not None and pt.run is None
+    rng = random.Random(sum(table))
+    for _ in range(3):
+        dom_mask, cod_mask = rng.getrandbits(100), rng.getrandbits(169)
+        assert (pt.pull(cod_mask), pt.push(dom_mask)) == pair_set_images(
+            table, 13, dom_mask, cod_mask
+        )
 
 
 @pytest.mark.parametrize("depth", [2, 3])
