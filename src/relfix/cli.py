@@ -151,7 +151,7 @@ def cmd_solve(args) -> int:
         "domain": spec.domain_name,
         "depth": depth,
         "sizes": [p.n for p in chain.levels],
-        "pi_tables": [list(pi.table) for pi in pis],
+        "pi_tables": [pi.arr.tolist() for pi in pis],
         "verification": verification["checks"],
     }
     if args.timings:
@@ -220,7 +220,7 @@ def cmd_karoubi(args) -> int:
             audits.append(karoubi_rel_fiber(KaroubiObj(poset, p)))
         except SizeCapExceeded:
             audits.append(
-                {"idempotent": list(p.mor.table), "skipped": "relation space over cap"}
+                {"idempotent": p.mor.arr.tolist(), "skipped": "relation space over cap"}
             )
     result["claim_audit"] = audits
     ok = result["cpo"]["ok"] and result["slice_equivalence"]["ok"]

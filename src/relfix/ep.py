@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import NotAnEmbedding, NotEp, TypeMismatch
-from .poset import FinPoset, MonotoneMap, bottom_map, identity_map
+from .poset import FinPoset, MonotoneMap, bottom_map, identity_map, monotonicity_witness
 
 __all__ = [
     "EpPair",
@@ -47,17 +49,18 @@ class EpPair:
 
 
 def verify_ep_pair(e: MonotoneMap, p: MonotoneMap) -> EpPair:
-    """Check both laws and package the pair; raises NotEp with a witness."""
+    """Check both laws and package the pair; raises NotEp with a witness,
+    the least element where the law fails."""
     if e.cod != p.dom or p.cod != e.dom:
         raise TypeMismatch("e and p do not connect the same two posets")
     e.check()
     p.check()
-    for x in range(e.dom.n):
-        if p.table[e.table[x]] != x:
-            raise NotEp("p(e(x)) differs from x", law="retraction", witness=x)
-    for y in range(e.cod.n):
-        if not e.cod.le(e.table[p.table[y]], y):
-            raise NotEp("e(p(y)) is not below y", law="deflation", witness=y)
+    bad = p.arr.take(e.arr) != np.arange(e.dom.n)
+    if bad.any():
+        raise NotEp("p(e(x)) differs from x", law="retraction", witness=int(bad.argmax()))
+    bad = ~e.cod.leq[e.arr.take(p.arr), np.arange(e.cod.n)]
+    if bad.any():
+        raise NotEp("e(p(y)) is not below y", law="deflation", witness=int(bad.argmax()))
     return EpPair(e, p)
 
 
@@ -71,18 +74,14 @@ def projection_of(e: MonotoneMap, cross_check: bool = False) -> MonotoneMap:
     x_poset, y_poset = e.dom, e.cod
     table = []
     for y in range(y_poset.n):
-        below = [x for x in range(x_poset.n) if y_poset.le(e.table[x], y)]
-        if not below:
+        below = np.flatnonzero(y_poset.leq[e.arr, y])
+        if not below.size:
             raise NotAnEmbedding("no approximant below", element=y)
-        greatest = None
-        for x in below:
-            if all(x_poset.le(z, x) for z in below):
-                greatest = x
-                break
-        if greatest is None:
+        greatest = [x for x in below.tolist() if x_poset.leq[below, x].all()]
+        if not greatest:
             raise NotAnEmbedding("approximants have no greatest element", element=y)
-        table.append(greatest)
-    p = MonotoneMap(y_poset, x_poset, tuple(table))
+        table.append(greatest[0])
+    p = MonotoneMap(y_poset, x_poset, table)
     verify_ep_pair(e, p)
     if cross_check:
         assert _projection_by_search(e) == p.table
@@ -96,14 +95,11 @@ def _projection_by_search(e: MonotoneMap):
     x_poset, y_poset = e.dom, e.cod
     found = []
     for cand in iproduct(range(x_poset.n), repeat=y_poset.n):
-        if any(cand[e.table[x]] != x for x in range(x_poset.n)):
+        if any(cand[e(x)] != x for x in range(x_poset.n)):
             continue
-        if any(not y_poset.le(e.table[cand[y]], y) for y in range(y_poset.n)):
+        if any(not y_poset.le(e(cand[y]), y) for y in range(y_poset.n)):
             continue
-        arr = MonotoneMap(y_poset, x_poset, cand)
-        from .poset import monotonicity_witness
-
-        if monotonicity_witness(y_poset, x_poset, arr.arr) is not None:
+        if monotonicity_witness(y_poset, x_poset, np.array(cand)) is not None:
             continue
         found.append(cand)
     assert len(found) == 1, f"projection not unique: {len(found)} candidates"

@@ -210,48 +210,56 @@ def to_src(f: FunctorExpr) -> str:
 # metadata may differ between structurally equal posets.
 
 _ONE = one()
+_ONE_MAP = identity_map(_ONE)
 _ONE_REL = total_rel(_ONE)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)
 def _lift_c(x: FinPoset, caps: Caps):
+    """The lift, its bottom, and the id of each embedded element of x."""
     p = lift(x, caps)
-    ups = tuple(p.elem_index[("up", d)] for d in x.elems)
-    return p, p.elem_index["bot"], ups
+    ups = np.array([p.elem_index[("up", d)] for d in x.elems], dtype=np.int64)
+    return p, p.elem_index["bot"], _frozen(ups)
 
 
 @lru_cache(maxsize=None)
 def _prod_c(x: FinPoset, y: FinPoset, caps: Caps):
+    """The product and the id of each pair, as an x.n by y.n array."""
     p = product(x, y, caps)
-    idx = np.array(
-        [[p.elem_index[(dx, dy)] for dy in y.elems] for dx in x.elems],
-        dtype=np.int64,
-    )
-    idx.setflags(write=False)
-    return p, idx
+    idx = np.array([[p.elem_index[(dx, dy)] for dy in y.elems] for dx in x.elems], dtype=np.int64)
+    return p, _frozen(idx)
 
 
 @lru_cache(maxsize=None)
 def _sum_c(x: FinPoset, y: FinPoset, caps: Caps):
+    """The separated sum, its bottom, and the ids of both injections."""
     p = sum_sep(x, y, caps)
-    inl = tuple(p.elem_index[("inl", d)] for d in x.elems)
-    inr = tuple(p.elem_index[("inr", d)] for d in y.elems)
-    return p, p.elem_index["bot"], inl, inr
+    inl = np.array([p.elem_index[("inl", d)] for d in x.elems], dtype=np.int64)
+    inr = np.array([p.elem_index[("inr", d)] for d in y.elems], dtype=np.int64)
+    return p, p.elem_index["bot"], _frozen(inl), _frozen(inr)
 
 
 @lru_cache(maxsize=None)
 def _prod_projections(x: FinPoset, y: FinPoset, caps: Caps):
     """The product with its two projections as pair tables."""
     p, idx = _prod_c(x, y, caps)
-    left, right = [0] * p.n, [0] * p.n
-    for (a, b), i in np.ndenumerate(idx):
-        left[i], right[i] = a, b
+    left, right = np.empty(p.n, dtype=np.int64), np.empty(p.n, dtype=np.int64)
+    left[idx], right[idx] = np.indices(idx.shape)
     return p, PairTable(left, x.n), PairTable(right, y.n)
 
 
 @lru_cache(maxsize=None)
-def _hom_c(x: FinPoset, y: FinPoset, caps: Caps) -> FinPoset:
-    return hom_poset(x, y, caps)
+def _hom_c(x: FinPoset, y: FinPoset, caps: Caps):
+    """The hom poset, its element tables as one array (row i is element
+    i's table), and a dict from each table's bytes to its element."""
+    h = hom_poset(x, y, caps)
+    tables = _frozen(np.array(h.elems, dtype=np.int64).reshape(h.n, x.n))
+    return h, tables, {t.tobytes(): i for i, t in enumerate(tables)}
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +306,7 @@ def eval_obj(
             eval_obj(f.left, xpos, xneg, caps),
             eval_obj(f.right, xneg, xpos, caps),
             caps,
-        )
+        )[0]
     raise TypeMismatch("unknown functor node", node=type(f).__name__)
 
 
@@ -311,45 +319,38 @@ def lift_map(inner: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
     """Lift a map: fresh bottoms correspond, up-elements follow inner."""
     dom, dbot, dups = _lift_c(inner.dom, caps)
     cod, cbot, cups = _lift_c(inner.cod, caps)
-    table = [cbot] * dom.n
-    for i, src in enumerate(dups):
-        table[src] = cups[inner.table[i]]
-    return MonotoneMap(dom, cod, tuple(table))
+    table = np.empty(dom.n, dtype=np.int64)
+    table[dbot] = cbot
+    table[dups] = cups.take(inner.arr)
+    return MonotoneMap(dom, cod, table)
 
 
 def prod_map(fl: MonotoneMap, fr: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
     """Componentwise action on a product."""
     dom, didx = _prod_c(fl.dom, fr.dom, caps)
     cod, cidx = _prod_c(fl.cod, fr.cod, caps)
-    table = [0] * dom.n
-    for i in range(fl.dom.n):
-        for j in range(fr.dom.n):
-            table[didx[i, j]] = int(cidx[fl.table[i], fr.table[j]])
-    return MonotoneMap(dom, cod, tuple(table))
+    table = np.empty(dom.n, dtype=np.int64)
+    table[didx] = cidx.take(fl.arr, 0).take(fr.arr, 1)
+    return MonotoneMap(dom, cod, table)
 
 
 def sum_map(fl: MonotoneMap, fr: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
     """Injection-respecting action on a separated sum."""
     dom, dbot, dinl, dinr = _sum_c(fl.dom, fr.dom, caps)
     cod, cbot, cinl, cinr = _sum_c(fl.cod, fr.cod, caps)
-    table = [cbot] * dom.n
-    for i, src in enumerate(dinl):
-        table[src] = cinl[fl.table[i]]
-    for i, src in enumerate(dinr):
-        table[src] = cinr[fr.table[i]]
-    return MonotoneMap(dom, cod, tuple(table))
+    table = np.empty(dom.n, dtype=np.int64)
+    table[dbot] = cbot
+    table[dinl] = cinl.take(fl.arr)
+    table[dinr] = cinr.take(fr.arr)
+    return MonotoneMap(dom, cod, table)
 
 
 def hom_map(am: MonotoneMap, bm: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
     """The action h |-> bm . h . am : hom(am.cod, bm.dom) -> hom(am.dom, bm.cod)."""
-    dom = _hom_c(am.cod, bm.dom, caps)
-    cod = _hom_c(am.dom, bm.cod, caps)
-    cindex = cod.elem_index
-    table = []
-    for t in dom.elems:
-        comp = tuple(bm.table[t[am.table[x]]] for x in range(am.dom.n))
-        table.append(cindex[comp])
-    return MonotoneMap(dom, cod, tuple(table))
+    dom, tables, _ = _hom_c(am.cod, bm.dom, caps)
+    cod, _, index = _hom_c(am.dom, bm.cod, caps)
+    comp = bm.arr.take(tables.take(am.arr, 1))  # row t: bm . t . am
+    return MonotoneMap(dom, cod, [index[t.tobytes()] for t in comp])
 
 
 def eval_map(
@@ -366,7 +367,7 @@ def eval_map(
     never consumes that slot.
     """
     if isinstance(f, One):
-        return identity_map(_ONE)
+        return _ONE_MAP
     if isinstance(f, Var):
         if fpos is None:
             raise TypeMismatch("Var needs a map in its slot", functor=to_src(f))
@@ -464,7 +465,7 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
     if isinstance(f, Lift):
         r = _eval_rel(f.body, rneg, spos, caps)
         p, _, ups = _lift_c(r.carrier, caps)
-        return BinRel(p, cached_pair_table(ups, p.n).push(r.mask) | 1 << bottom_index(p))
+        return BinRel(p, cached_pair_table(ups.tobytes(), p.n).push(r.mask) | 1 << bottom_index(p))
     if isinstance(f, Prod):
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
@@ -482,13 +483,13 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
         p, _, inl, inr = _sum_c(rl.carrier, rr.carrier, caps)
-        mask = cached_pair_table(inl, p.n).push(rl.mask) | cached_pair_table(inr, p.n).push(rr.mask)
+        mask = (cached_pair_table(inl.tobytes(), p.n).push(rl.mask)
+                | cached_pair_table(inr.tobytes(), p.n).push(rr.mask))
         return BinRel(p, mask | 1 << bottom_index(p))
     if isinstance(f, Fun):
         ra = _eval_rel(f.left, spos, rneg, caps)
         rb = _eval_rel(f.right, rneg, spos, caps)
-        h = _hom_c(ra.carrier, rb.carrier, caps)
-        tables = np.array(h.elems, dtype=np.int64)
+        h, tables, _ = _hom_c(ra.carrier, rb.carrier, caps)
         ax, ay = np.nonzero(ra.matrix)
         if ax.size:
             ok = rb.matrix[tables[:, None, ax], tables[None, :, ay]].all(axis=2)
@@ -520,7 +521,7 @@ def _tables(outs: list):
     outs are MonotoneMaps of one type."""
     types = {(m.dom, m.cod) if isinstance(m, MonotoneMap) else None for m in outs}
     if len(types) == 1 and None not in types:
-        return (np.array([m.table for m in outs], dtype=np.int64), *types.pop())
+        return (np.array([m.arr for m in outs]), *types.pop())
     return None
 
 
@@ -561,7 +562,7 @@ def check_functor_laws(
         """The monotone maps x -> y, their tables as one array, and the tables'
         codes in radix y.n (ascending: the enumeration is lexicographic)."""
         arr = monotone_tables(x, y)
-        return [MonotoneMap(x, y, t) for t in arr.tolist()], arr, arr @ y.n ** np.arange(x.n)[::-1]
+        return [MonotoneMap(x, y, t) for t in arr], arr, arr @ y.n ** np.arange(x.n)[::-1]
 
     def composite(x, y, z, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Each (g-th map y -> z) @ (h-th map x -> y) as an index into x -> z."""

@@ -151,10 +151,10 @@ def idem_leq(p: Idempotent, q: Idempotent) -> bool:
     """
     if p.carrier != q.carrier:
         raise TypeMismatch("idempotents on different carriers")
-    pt, qt = p.mor.table, q.mor.table
-    pq = tuple(pt[v] for v in qt)
-    cond_a = pq == pt and tuple(qt[v] for v in pt) == pt
-    cond_b = tuple(qt[v] for v in pq) == pt
+    pt, qt = p.mor.arr, q.mor.arr
+    pq = pt.take(qt)
+    cond_a = bool((pq == pt).all() and (qt.take(pt) == pt).all())
+    cond_b = bool((qt.take(pq) == pt).all())
     if cond_a != cond_b:
         raise EquivalenceMismatch(
             "the two idempotent-order conditions disagree",
@@ -175,25 +175,20 @@ def split_idempotent(p: Idempotent) -> Splitting:
     x = p.carrier
     if p.mor.is_identity():
         return Splitting(p, x, identity_map(x), identity_map(x))
-    fixed = [v for v in range(x.n) if p(v) == v]
-    local = {v: i for i, v in enumerate(fixed)}
+    fixed = np.flatnonzero(p.mor.arr == np.arange(x.n))
+    # local ids are positions in fixed, which is ascending
     im = validate_poset(
         len(fixed),
-        [
-            (local[a], local[b])
-            for a in fixed
-            for b in fixed
-            if x.le(a, b)
-        ],
-        local[p(x.bottom)],
+        np.argwhere(x.leq.take(fixed, 0).take(fixed, 1)).tolist(),
+        int(np.searchsorted(fixed, p(x.bottom))),
     )
     # validate_poset sorts into canonical form; elems carries the pre-sort
     # local ids
-    s_table = tuple(fixed[im.elems[i]] for i in range(im.n))
-    pos = {orig: i for i, orig in enumerate(s_table)}
-    r_table = tuple(pos[p(v)] for v in range(x.n))
+    s_table = fixed.take(im.elems)
+    pos = np.empty(x.n, dtype=np.int64)
+    pos[s_table] = np.arange(im.n)
     s = MonotoneMap(im, x, s_table)
-    r = MonotoneMap(x, im, r_table)
+    r = MonotoneMap(x, im, pos.take(p.mor.arr))
     if s @ r != p.mor or not (r @ s).is_identity():
         raise InternalInvariantViolation("splitting laws failed", p=p.mor.table)
     return Splitting(p, im, r, s)
@@ -221,7 +216,7 @@ def splitting_iso(s1: Splitting, s2: Splitting, verify_unique: bool | None = Non
     if verify_unique:
         t = monotone_tables(s1.im, s2.im)
         hits = t[(s2.s.arr[t] == s1.s.arr).all(axis=1)].tolist()
-        if hits != [list(i.table)]:
+        if hits != [i.arr.tolist()]:
             raise LawViolation("splitting iso is not unique", candidates=len(hits))
     return i, i_inv
 
@@ -237,7 +232,7 @@ def karoubi_homs(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> lis
     """All envelope morphisms a -> b: the cached table rows f with fp = f = qf."""
     t = monotone_tables(a.X, b.X, caps.max_pairs)
     keep = (t[:, a.p.mor.arr] == t).all(axis=1) & (b.p.mor.arr[t] == t).all(axis=1)
-    return [MonotoneMap(a.X, b.X, row) for row in t[keep].tolist()]
+    return [MonotoneMap(a.X, b.X, row) for row in t[keep]]
 
 
 def karoubi_bottom_hom(a: KaroubiObj, b: KaroubiObj) -> MonotoneMap:
@@ -295,7 +290,7 @@ def _ed_order(d: FinPoset, caps: Caps) -> tuple:
     idem_leq, which raises EquivalenceMismatch with its witness.
     """
     idems = tuple(enumerate_canonical_idempotents(d, caps))
-    t = np.array([p.mor.table for p in idems], dtype=np.int64)
+    t = np.array([p.mor.arr for p in idems])
     flat, off = t.ravel(), np.arange(len(t))[:, None] * d.n  # q(v) = flat[off + v]
     leq = np.empty((len(t), len(t)), dtype=bool)
     step = max(1, (1 << 19) // t.size)
@@ -338,20 +333,17 @@ def ed_cpo_check(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     idems, leq = _ed_order(d, caps)
     checks = _order_axioms(leq)
     # i <= j implies p_i <= p_j pointwise, in blocks of at most 2^19 entries
-    t, (i, j) = np.array([p.mor.table for p in idems]), np.nonzero(leq)
+    t, (i, j) = np.array([p.mor.arr for p in idems]), np.nonzero(leq)
     step = max(1, (1 << 19) // d.n)
     checks["inclusion_monotone"] = all(
         d.leq[t[i[lo : lo + step]], t[j[lo : lo + step]]].all() for lo in range(0, len(i), step)
     )
     bot = np.flatnonzero(leq.all(axis=1))
-    checks["pointed"] = (
-        len(bot) >= 1
-        and idems[bot[0]].mor.table == tuple([d.bottom] * d.n)
-    )
+    checks["pointed"] = len(bot) >= 1 and bool((idems[bot[0]].mor.arr == d.bottom).all())
     return {
         "poset_size": d.n,
         "ed_size": len(idems),
-        "idempotents": [list(p.mor.table) for p in idems],
+        "idempotents": t.tolist(),
         "order": leq.tolist(),
         "checks": checks,
         "ok": all(checks.values()),
@@ -379,11 +371,10 @@ def ed_slice_equivalence(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     image_of_i = []
     for p in idems:
         sp = split_idempotent(p)
-        j_of_i = MonotoneMap(d, d, tuple(sp.s(sp.r(v)) for v in range(d.n)))
-        if j_of_i != p.mor:
+        if sp.s @ sp.r != p.mor:
             ok_round = False
-            report["witnesses"].append({"p": list(p.mor.table)})
-        image_of_i.append(tuple(sorted(sp.s.table)))
+            report["witnesses"].append({"p": p.mor.arr.tolist()})
+        image_of_i.append(tuple(sorted(sp.s.arr.tolist())))
     report["checks"]["j_after_i_identity"] = ok_round
     ok_back = True
     for members, proj in images:
@@ -442,7 +433,7 @@ def karoubi_rel_fiber(a: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> dict:
             )
     return {
         "carrier_size": n,
-        "idempotent": list(p.table),
+        "idempotent": p.arr.tolist(),
         "candidates": candidates,
         "admissible": admissible,
         "fiber_size": len(fiber),

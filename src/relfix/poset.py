@@ -14,6 +14,9 @@ Conventions
   tag, or a map table) so that structural constructions can act on elements
   concretely.  Descriptors are metadata: equality of posets compares order
   structure only.
+* A monotone map is one read-only int64 array of image ids.  Hot paths read
+  the array (and its bytes, for equality, hashing and cache keys); the
+  tuple view ``table`` is for reports and witnesses.
 """
 
 from __future__ import annotations
@@ -223,56 +226,55 @@ def small_pointed_posets() -> list:
 
 
 class MonotoneMap:
-    """A monotone map between finite posets, stored as a table of ids."""
+    """A monotone map between finite posets, stored as one read-only int64
+    array: arr[x] is the image of x.  Composition is a gather, and equality
+    and hashing go through key, the array's bytes; table is a tuple view of
+    arr, built on first use, for reports and witnesses."""
 
-    __slots__ = ("dom", "cod", "table", "_arr", "_hash")
+    __slots__ = ("dom", "cod", "arr", "key", "_table", "_hash")
 
-    def __init__(self, dom: FinPoset, cod: FinPoset, table: tuple):
+    def __init__(self, dom: FinPoset, cod: FinPoset, table: Sequence[int] | np.ndarray):
+        arr = np.array(table, dtype=np.int64)
+        arr.setflags(write=False)
         self.dom = dom
         self.cod = cod
-        self.table = tuple(int(v) for v in table)
-        self._arr = None
-        self._hash = None
+        self.arr = arr
+        self.key = arr.tobytes()
+        self._table = self._hash = None
 
     @property
-    def arr(self) -> np.ndarray:
-        if self._arr is None:
-            a = np.array(self.table, dtype=np.int64)
-            a.setflags(write=False)
-            self._arr = a
-        return self._arr
+    def table(self) -> tuple:
+        if self._table is None:
+            self._table = tuple(self.arr.tolist())
+        return self._table
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        return int(self.arr[x])
 
     def __matmul__(self, other: "MonotoneMap") -> "MonotoneMap":
         """(f @ g)(x) = f(g(x))."""
         if other.cod != self.dom:
             raise TypeMismatch("composition domain mismatch")
-        # both tables hold ints already, so __init__'s int pass is skipped
-        out = MonotoneMap.__new__(MonotoneMap)
-        out.dom, out.cod, out._arr, out._hash = other.dom, self.cod, None, None
-        out.table = tuple(map(self.table.__getitem__, other.table))
-        return out
+        return MonotoneMap(other.dom, self.cod, self.arr[other.arr])
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, MonotoneMap)
-            and self.table == other.table
+            and self.key == other.key
             and self.dom == other.dom
             and self.cod == other.cod
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.dom, self.cod, self.table))
+            self._hash = hash((self.dom, self.cod, self.key))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"MonotoneMap({list(self.table)})"
+        return f"MonotoneMap({self.arr.tolist()})"
 
     def is_identity(self) -> bool:
-        return self.dom == self.cod and self.table == tuple(range(self.dom.n))
+        return self.dom == self.cod and self.key == np.arange(self.dom.n).tobytes()
 
     def pointwise_leq(self, other: "MonotoneMap") -> bool:
         if self.dom != other.dom or self.cod != other.cod:
@@ -299,17 +301,17 @@ def monotonicity_witness(dom: FinPoset, cod: FinPoset, arr: np.ndarray):
 
 
 def monotone_map(dom: FinPoset, cod: FinPoset, table: Sequence[int]) -> MonotoneMap:
-    m = MonotoneMap(dom, cod, tuple(table))
+    m = MonotoneMap(dom, cod, table)
     m.check()
     return m
 
 
 def identity_map(p: FinPoset) -> MonotoneMap:
-    return MonotoneMap(p, p, tuple(range(p.n)))
+    return MonotoneMap(p, p, np.arange(p.n))
 
 
 def const_map(dom: FinPoset, cod: FinPoset, value: int) -> MonotoneMap:
-    return MonotoneMap(dom, cod, (value,) * dom.n)
+    return MonotoneMap(dom, cod, np.full(dom.n, value))
 
 
 def bottom_map(dom: FinPoset, cod: FinPoset) -> MonotoneMap:

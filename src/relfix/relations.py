@@ -217,13 +217,14 @@ class PairTable:
 
     __slots__ = ("kx", "ky", "arr", "run", "image", "_index", "_cols", "_luts")
 
-    def __init__(self, table: Sequence[int], ky: int):
+    def __init__(self, table: Sequence[int] | np.ndarray, ky: int):
+        table = np.asarray(table, dtype=np.int64)
         self.kx = kx = len(table)
         self.ky = ky
         self.arr = self.run = self.image = self._index = self._cols = None
         self._luts = {}
         if max(kx, ky) ** 2 > _INT_MAX_BITS:
-            a = self.arr = np.asarray(table, dtype=np.int64)
+            a = self.arr = table
             if a[-1] - a[0] == kx - 1 and (np.diff(a) == 1).all():
                 self.run = int(a[0])
             else:
@@ -235,7 +236,7 @@ class PairTable:
             counts["runs"] += self.run is not None
             counts["largest"] = max(counts["largest"], (kx, ky), key=lambda t: t[0] * t[1])
         else:
-            self._index = [a * ky + b for a in table for b in table]
+            self._index = (table[:, None] * ky + table).ravel().tolist()
 
     @property
     def index(self) -> list[int]:
@@ -324,12 +325,15 @@ class PairTable:
         return out
 
 
-# Cached by (table, codomain size): maps with one table share its lookups.
-cached_pair_table = lru_cache(maxsize=None)(PairTable)
+@lru_cache(maxsize=None)
+def cached_pair_table(key: bytes, ky: int) -> PairTable:
+    """The pair table of the int64 table whose bytes are key, into a
+    ky-element carrier, built once: maps with one table share its lookups."""
+    return PairTable(np.frombuffer(key, dtype=np.int64), ky)
 
 
 def pair_table(f: MonotoneMap) -> PairTable:
-    return cached_pair_table(f.table, f.cod.n)
+    return cached_pair_table(f.key, f.cod.n)
 
 
 def rel_from_pairs(carrier: FinPoset, pairs: Iterable[tuple[int, int]]) -> BinRel:

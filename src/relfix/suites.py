@@ -117,7 +117,7 @@ def canonical_specs() -> dict:
 
 
 def _all_maps(x: FinPoset, y: FinPoset) -> list:
-    return [MonotoneMap(x, y, t) for t in monotone_tables(x, y).tolist()]
+    return [MonotoneMap(x, y, t) for t in monotone_tables(x, y)]
 
 
 def _admissible_rows(posets: list) -> dict:
@@ -362,7 +362,7 @@ def _all_idempotents(p: FinPoset) -> list:
     """Every idempotent endomap (not only those below the identity)."""
     t = monotone_tables(p, p)
     keep = (np.take_along_axis(t, t, axis=1) == t).all(axis=1)  # t o t = t
-    return [Idempotent(p, MonotoneMap(p, p, row)) for row in t[keep].tolist()]
+    return [Idempotent(p, MonotoneMap(p, p, row)) for row in t[keep]]
 
 
 def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:

@@ -128,10 +128,10 @@ def test_criterion_04_bilimit_duality():
     for name, ch in build_all().items():
         fam = solve_kleene(ch)
         pulls = [
-            inverse_image(ch.cum(n).p, fam[n]) for n in range(ch.depth + 1)
+            inverse_image(ch.cums[n].p, fam[n]) for n in range(ch.depth + 1)
         ]
         pushes = [
-            direct_image(ch.cum(n).e, fam[n]) for n in range(ch.depth + 1)
+            direct_image(ch.cums[n].e, fam[n]) for n in range(ch.depth + 1)
         ]
         meet = intersect(pulls, ch.top)
         join = frozenset().union(*(r.pairs for r in pushes))

@@ -18,14 +18,15 @@ from relfix.chain import (
     total_family,
     truncation_projections,
 )
-from relfix.engines import solve_kleene
+from relfix.engines import compare_methods, solve_kleene
 from relfix.errors import (
     DualMismatch,
     InadmissibleRelation,
     SizeCapExceeded,
     TypeMismatch,
 )
-from relfix.functor import eval_map
+from relfix.functor import Const, Lift, One, Prod, SumSep, Var, eval_map
+from relfix.poset import MonotoneMap, chain_poset
 from relfix.relations import diagonal, rel_from_pairs, total_rel
 from relfix.suites import canonical_specs
 
@@ -105,7 +106,7 @@ def test_pi_recurrence_under_level_identification(chains):
 def test_ep_pairs_compose_along_the_chain(lazy_chain):
     ch = lazy_chain
     for j in range(ch.depth + 1):
-        pair = ch.cum(j)
+        pair = ch.cums[j]
         assert (pair.p @ pair.e).is_identity()
         assert pair.e.dom == ch.levels[j]
         assert pair.e.cod == ch.top
@@ -113,6 +114,30 @@ def test_ep_pairs_compose_along_the_chain(lazy_chain):
     step_then_step = ch.ep(0, 2)
     assert step_then_step.e == ch.steps[1].e @ ch.steps[0].e
     assert step_then_step.p == ch.steps[0].p @ ch.steps[1].p
+
+
+@pytest.mark.parametrize(
+    "f, depth",
+    [
+        (Lift(Prod(Const(chain_poset(2), diagonal(chain_poset(2))), Var())), 8),
+        (SumSep(One(), Var()), 40),
+    ],
+    ids=["streams_d8", "lazy_nat_d40"],
+)
+def test_build_and_solve_read_maps_as_arrays_only(f, depth, monkeypatch):
+    # the tuple view is for reports and witnesses; a hot path that reads it
+    # converts every map it touches (streams d10 build once took 5x longer)
+    views = []
+    monkeypatch.setattr(MonotoneMap, "table", property(lambda m: views.append(m)))
+    ch = build_chain(f, depth)
+    report = compare_methods(ch)
+    assert report["agreement"] and report["uniform"]
+    assert views == []
+    # no cache of composites: the steps and the depth + 1 cumulative pairs
+    assert sorted(vars(ch)) == ["caps", "cums", "depth", "functor", "levels", "steps"]
+    assert len(ch.steps) == depth and len(ch.cums) == depth + 1
+    for j, pair in enumerate(ch.cums):
+        assert pair.dom == ch.levels[j] and pair.cod == ch.top
 
 
 def test_make_family_validation(lazy_chain):

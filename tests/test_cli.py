@@ -42,6 +42,18 @@ def test_solve_reports_sizes_and_checks():
     assert all(report["result"]["verification"].values())
 
 
+@pytest.mark.parametrize("name", ["lazy_nat", "streams", "reflexive"])
+def test_solve_verifies_the_chain_once(name, monkeypatch, capsys):
+    from relfix import chain, cli
+
+    runs = []
+    verify = chain._verify_chain
+    monkeypatch.setattr(chain, "_verify_chain", lambda ch: runs.append(ch) or verify(ch))
+    assert cli.main(["solve", "--spec", str(SPECS / f"{name}.spec")]) == 0
+    assert len(runs) == 1
+    assert all(json.loads(capsys.readouterr().out)["result"]["verification"].values())
+
+
 def test_solve_emits_hasse_dot_files(tmp_path):
     proc = run_cli(
         "solve",

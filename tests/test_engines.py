@@ -23,8 +23,8 @@ from relfix.engines import (
     solve_knaster_tarski,
 )
 from relfix.functor import Const, Lift, Prod, Var
-from relfix.poset import chain_poset
-from relfix.relations import BinRel, bottom_index, total_rel
+from relfix.poset import chain_poset, lift, one, product
+from relfix.relations import BinRel, bottom_index, rel_from_pairs, total_rel
 from relfix.suites import canonical_specs
 
 
@@ -168,6 +168,34 @@ def test_nondiagonal_const_relation_changes_the_solution():
     for _ in range(4):
         expect.append(4 * expect[-1] + 1)
     assert counts == expect == [1, 5, 21, 85, 341]
+
+
+def test_a_nonsymmetric_relation_on_a_wide_carrier_solves_to_its_definition():
+    # lift(prod(const(chain(3), C), D)) with C not symmetric: level m + 1
+    # relates the bottom to itself and up (a, x) to up (b, y) exactly when
+    # (a, b) is in C and (x, y) in level m.  The oracle builds those pairs
+    # from the element descriptors of freshly constructed levels (the cached
+    # ones may carry the descriptors of a structurally equal poset), without
+    # the relational action.
+    c3 = chain_poset(3)
+    pairs = [(0, 0), (0, 1), (1, 2), (2, 2)]
+    ch = build_chain(Lift(Prod(Const(c3, rel_from_pairs(c3, pairs)), Var())), 4)
+    assert [p.n for p in ch.levels] == [1, 4, 13, 40, 121]
+    x, level, want = one(), {(0, 0)}, []
+    for m in range(5):
+        if m:
+            x = lift(product(c3, x))
+            level = {("bot", "bot")} | {
+                (("up", (a, u)), ("up", (b, v))) for a, b in pairs for u, v in level
+            }
+        assert x == ch.levels[m]
+        want.append({(x.elem_index[u], x.elem_index[v]) for u, v in level})
+    got = solve_kleene(ch)
+    assert [got[m].pairs for m in range(5)] == want
+    assert any((v, u) not in want[4] for u, v in want[4])
+    report = compare_methods(ch)
+    assert report["agreement"] and report["uniform"]
+    assert report["glued"] == sorted(want[4])
 
 
 def test_compare_methods_report_shape(solved):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from relfix.ep import (
+    EpPair,
     bottom_ep,
     compose_ep,
     identity_ep,
@@ -12,7 +15,16 @@ from relfix.ep import (
     verify_ep_pair,
 )
 from relfix.errors import NotAnEmbedding, NotEp, TypeMismatch
-from relfix.poset import chain_poset, identity_map, monotone_map, one, validate_poset
+from relfix.poset import (
+    MonotoneMap,
+    chain_poset,
+    enumerate_monotone_maps,
+    identity_map,
+    monotone_map,
+    one,
+    small_pointed_posets,
+    validate_poset,
+)
 
 C2 = chain_poset(2)
 C3 = chain_poset(3)
@@ -90,3 +102,34 @@ def test_identity_and_composition():
 def test_compose_ep_requires_matching_middles():
     with pytest.raises(TypeMismatch):
         compose_ep(bottom_ep(one(), C2), bottom_ep(one(), C3))
+
+
+def _loop_ep_laws(e, p):
+    """The first failing ep law and its witness by element loops, or None."""
+    for x in range(e.dom.n):
+        if p.table[e.table[x]] != x:
+            return "retraction", x
+    for y in range(e.cod.n):
+        if not e.cod.le(e.table[p.table[y]], y):
+            return "deflation", y
+    return None
+
+
+def test_verify_ep_pair_fails_like_the_element_loops():
+    # every pair of monotone maps x -> y -> x over the small posets
+    posets = small_pointed_posets()
+    outcomes = {"retraction": 0, "deflation": 0, None: 0}
+    for x, y in itertools.product(posets, repeat=2):
+        for et in enumerate_monotone_maps(x, y):
+            for pt in enumerate_monotone_maps(y, x):
+                e, p = MonotoneMap(x, y, et), MonotoneMap(y, x, pt)
+                want = _loop_ep_laws(e, p)
+                if want is None:
+                    assert verify_ep_pair(e, p) == EpPair(e, p)
+                else:
+                    with pytest.raises(NotEp) as err:
+                        verify_ep_pair(e, p)
+                    assert (err.value.details["law"], err.value.details["witness"]) == want
+                    assert type(err.value.details["witness"]) is int
+                outcomes[want and want[0]] += 1
+    assert all(outcomes.values())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -32,6 +33,9 @@ from relfix.functor import (
     eval_rel,
     hom_map,
     is_covariant,
+    lift_map,
+    prod_map,
+    sum_map,
     to_src,
     validate_functor,
     var_polarities,
@@ -40,10 +44,13 @@ from relfix.poset import (
     MonotoneMap,
     chain_poset,
     enumerate_monotone_maps,
+    hom_poset,
     identity_map,
     lift,
     one,
+    product,
     small_pointed_posets,
+    sum_sep,
 )
 from relfix.relations import (
     bottom_rel,
@@ -113,6 +120,71 @@ def test_eval_map_identity_and_known_collapse():
     # summand collapses onto its injected bottom, the rest stays fixed.
     collapsed = eval_map(LAZY, None, const_map(x, x, x.bottom))
     assert collapsed.table == (0, 1, 2, 2, 2)
+
+
+# The four map actions as element loops over descriptors: the reference the
+# array actions (scatters through cached index arrays) must match.  The
+# constructions are cached here only to keep the exhaustive test fast.
+_lift, _product, _sum_sep, _hom_poset = map(functools.lru_cache(maxsize=None),
+                                           (lift, product, sum_sep, hom_poset))
+
+
+def _loop_lift_map(inner: MonotoneMap) -> MonotoneMap:
+    dom, cod = _lift(inner.dom), _lift(inner.cod)
+    table = [cod.elem_index["bot"]] * dom.n
+    for i, d in enumerate(inner.dom.elems):
+        image = inner.cod.elems[inner.table[i]]
+        table[dom.elem_index[("up", d)]] = cod.elem_index[("up", image)]
+    return MonotoneMap(dom, cod, table)
+
+
+def _loop_prod_map(fl: MonotoneMap, fr: MonotoneMap) -> MonotoneMap:
+    dom, cod = _product(fl.dom, fr.dom), _product(fl.cod, fr.cod)
+    table = [0] * dom.n
+    for i, dl in enumerate(fl.dom.elems):
+        for j, dr in enumerate(fr.dom.elems):
+            image = (fl.cod.elems[fl.table[i]], fr.cod.elems[fr.table[j]])
+            table[dom.elem_index[(dl, dr)]] = cod.elem_index[image]
+    return MonotoneMap(dom, cod, table)
+
+
+def _loop_sum_map(fl: MonotoneMap, fr: MonotoneMap) -> MonotoneMap:
+    dom, cod = _sum_sep(fl.dom, fr.dom), _sum_sep(fl.cod, fr.cod)
+    table = [cod.elem_index["bot"]] * dom.n
+    for tag, f in (("inl", fl), ("inr", fr)):
+        for i, d in enumerate(f.dom.elems):
+            image = f.cod.elems[f.table[i]]
+            table[dom.elem_index[(tag, d)]] = cod.elem_index[(tag, image)]
+    return MonotoneMap(dom, cod, table)
+
+
+def _loop_hom_map(am: MonotoneMap, bm: MonotoneMap) -> MonotoneMap:
+    dom, cod = _hom_poset(am.cod, bm.dom), _hom_poset(am.dom, bm.cod)
+    table = []
+    for t in dom.elems:
+        comp = tuple(bm.table[t[am.table[x]]] for x in range(am.dom.n))
+        table.append(cod.elem_index[comp])
+    return MonotoneMap(dom, cod, table)
+
+
+def test_map_actions_match_their_element_loops():
+    posets = small_pointed_posets()
+    maps = [
+        MonotoneMap(x, y, t)
+        for x, y in itertools.product(posets, repeat=2)
+        for t in enumerate_monotone_maps(x, y)
+    ]
+    for f in maps:
+        got, want = lift_map(f), _loop_lift_map(f)
+        assert got == want and got.table == want.table
+    count = 0
+    for fl, fr in itertools.product(maps, repeat=2):
+        for action, loop in ((prod_map, _loop_prod_map), (sum_map, _loop_sum_map),
+                             (hom_map, _loop_hom_map)):
+            got, want = action(fl, fr), loop(fl, fr)
+            assert got == want and got.table == want.table, (action.__name__, fl, fr)
+        count += 1
+    assert count == len(maps) ** 2 > 1000
 
 
 def test_eval_rel_on_the_sum_functor():

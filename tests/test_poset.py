@@ -221,6 +221,23 @@ def test_monotone_map_composition_and_identity():
     assert not f.is_identity()
 
 
+def test_a_map_is_one_read_only_array_whatever_it_was_built_from():
+    c3, c2 = chain_poset(3), chain_poset(2)
+    source = np.array([0, 0, 1])
+    built = [MonotoneMap(c3, c2, t) for t in ((0, 0, 1), [0, 0, 1], source, source.astype(np.int32))]
+    source[2] = 0  # the map copied its table
+    for m in built:
+        assert m.arr.dtype == np.int64 and not m.arr.flags.writeable
+        with pytest.raises(ValueError):
+            m.arr[0] = 1
+        assert m.table == (0, 0, 1) and m(2) == 1 and type(m(2)) is int
+        assert m == built[0] and hash(m) == hash(built[0])
+    composite = built[0] @ identity_map(c3)
+    assert not composite.arr.flags.writeable and composite == built[0]
+    assert len(set(built + [composite])) == 1
+    assert MonotoneMap(c3, c3, (0, 0, 1)) != built[0]  # same table, other codomain
+
+
 def test_pointwise_leq_on_maps():
     c3 = chain_poset(3)
     low = const_map(c3, c3, 0)
