@@ -28,7 +28,7 @@ from .errors import (
     SizeCapExceeded,
     TypeMismatch,
 )
-from .functor import FunctorExpr, eval_ep, eval_map, eval_obj, to_src, validate_functor
+from .functor import FunctorExpr, MapRows, eval_ep, eval_maps, eval_obj, to_src, validate_functor
 from .poset import FinPoset, MonotoneMap, identity_map, one
 from .relations import (
     BinRel,
@@ -67,8 +67,10 @@ class DomainChain:
     Holds the steps and the depth + 1 cumulative pairs cums[j] : X_j ->
     X_N, built by one downward fold over the steps; every other composite
     pair and truncation endomap is composed from two of those.  Immutable
-    once built; construct through build_chain, which also runs the
-    invariant checks.
+    once built, except rel_table: the table of the functor's relational
+    action that the engines pass to eval_rel, so each level input is
+    solved once per chain.  Construct through build_chain, which also runs
+    the invariant checks.
     """
 
     def __init__(
@@ -88,6 +90,7 @@ class DomainChain:
         for step in reversed(steps):
             cums.append(compose_ep(step, cums[-1]))
         self.cums = tuple(reversed(cums))
+        self.rel_table: dict = {}
 
     def __repr__(self) -> str:
         sizes = [p.n for p in self.levels]
@@ -155,7 +158,8 @@ def _verify_chain(chain: DomainChain) -> None:
 
     Level m's truncation endomaps pi_0 .. pi_m are the rows of one array:
     step m-1 conjugates level m-1's rows (e . pi . p) and the identity is
-    the last row, so only two levels' rows are live at a time.  At the top
+    the last row, so only two levels' rows are live at a time.  One
+    eval_maps call on level m-1's rows gives all m recurrence instances.  At the top
     those rows must be the chain's pis, which come from the cumulative
     pairs.
     """
@@ -180,11 +184,15 @@ def _verify_chain(chain: DomainChain) -> None:
         if m:
             step, low, lower = chain.steps[m - 1], chain.levels[m - 1], rows
             rows = np.vstack([step.e.arr[lower[:, step.p.arr]], np.arange(x.n)])
-            for j in range(m):
-                pi_low, lhs = MonotoneMap(low, low, lower[j]), MonotoneMap(x, x, rows[j + 1])
-                rhs = eval_map(f, pi_low, pi_low, chain.caps)
-                if lhs != rhs:
-                    fail("pi recurrence", j=j, level=m - 1, lhs=lhs.table, rhs=rhs.table)
+            pis_low = MapRows(low, low, lower)
+            rhs = eval_maps(f, pis_low, pis_low, chain.caps)
+            got = np.broadcast_to(rhs.arr, (m, rhs.dom.n))
+            same = (rhs.dom, rhs.cod) == (x, x)
+            bad = (got != rows[1:]).any(axis=1) if same else np.ones(m, dtype=bool)
+            if bad.any():
+                j = int(np.argmax(bad))
+                fail("pi recurrence", j=j, level=m - 1,
+                     lhs=tuple(rows[j + 1].tolist()), rhs=tuple(got[j].tolist()))
         if (rows[0] != x.bottom).any():
             fail("pi_0 is constant bottom", level=m)
     for j, pj in enumerate(pis):

@@ -195,7 +195,8 @@ def cmd_relate(args) -> int:
     if args.timings:
         print(f"relate[{args.method}]: {time.monotonic() - t0:.3f}s", file=sys.stderr)
         calls, hits = (rel_cache_counts[k] - before[k] for k in ("calls", "hits"))
-        print(f"eval_rel: {calls} calls, {hits} answered by the last-call cache", file=sys.stderr)
+        print(f"eval_rel: {calls} calls, {hits} answered by the chain's table, "
+              f"{len(chain.rel_table)} entries", file=sys.stderr)
         w = wide_table_counts
         print(f"pair_tables: {w['tables']} wide built, {w['runs']} of them runs, "
               f"largest {w['largest'][0]} -> {w['largest'][1]}", file=sys.stderr)

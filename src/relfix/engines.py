@@ -77,7 +77,7 @@ def _psi(chain: DomainChain, neg: RelFamily, pos: RelFamily) -> RelFamily:
     one-point poset, level m+1 is eval_rel(F, neg[m], pos[m])."""
     rels = [total_rel(chain.levels[0])]
     for m in range(chain.depth):
-        rels.append(eval_rel(chain.functor, neg[m], pos[m], chain.caps))
+        rels.append(eval_rel(chain.functor, neg[m], pos[m], chain.caps, chain.rel_table))
     return RelFamily(tuple(rels), chain)
 
 
@@ -143,7 +143,7 @@ def solve_kleene(chain: DomainChain) -> RelFamily:
     """
     rels = [total_rel(chain.levels[0])]
     for m in range(chain.depth):
-        rels.append(eval_rel(chain.functor, rels[m], rels[m], chain.caps))
+        rels.append(eval_rel(chain.functor, rels[m], rels[m], chain.caps, chain.rel_table))
     fam = RelFamily(tuple(rels), chain)
     witness = coherence_witness(fam)
     if witness is not None:

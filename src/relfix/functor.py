@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from .relations import (
     PairTable,
     bottom_index,
     bottom_rel,
-    cached_pair_table,
     diagonal,
     is_admissible,
     is_rel_morphism,
@@ -77,6 +77,8 @@ __all__ = [
     "validate_functor",
     "to_src",
     "eval_obj",
+    "MapRows",
+    "eval_maps",
     "eval_map",
     "eval_ep",
     "eval_rel",
@@ -204,13 +206,13 @@ def to_src(f: FunctorExpr) -> str:
 # cached constructions with injection data
 # ---------------------------------------------------------------------------
 #
-# The injection positions recovered here depend only on order structure (the
-# canonical permutation is a function of the leq matrix), so caching on the
-# structural identity of the argument posets is sound even though descriptor
-# metadata may differ between structurally equal posets.
+# The injection positions are read from each construction's rank (the id of
+# each element of its layout).  They depend only on order structure (the
+# canonical permutation is a function of the heights), so caching on the
+# structural identity of the argument posets is sound even though
+# descriptor metadata may differ between structurally equal posets.
 
 _ONE = one()
-_ONE_MAP = identity_map(_ONE)
 _ONE_REL = total_rel(_ONE)
 
 
@@ -221,27 +223,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _lift_c(x: FinPoset, caps: Caps):
-    """The lift, its bottom, and the id of each embedded element of x."""
+    """The lift, the id of each embedded element of x, and the embedding's
+    pair table."""
     p = lift(x, caps)
-    ups = np.array([p.elem_index[("up", d)] for d in x.elems], dtype=np.int64)
-    return p, p.elem_index["bot"], _frozen(ups)
+    return p, p.rank[1:], PairTable(p.rank[1:], p.n)
 
 
 @lru_cache(maxsize=None)
 def _prod_c(x: FinPoset, y: FinPoset, caps: Caps):
     """The product and the id of each pair, as an x.n by y.n array."""
     p = product(x, y, caps)
-    idx = np.array([[p.elem_index[(dx, dy)] for dy in y.elems] for dx in x.elems], dtype=np.int64)
-    return p, _frozen(idx)
+    return p, p.rank.reshape(x.n, y.n)
 
 
 @lru_cache(maxsize=None)
 def _sum_c(x: FinPoset, y: FinPoset, caps: Caps):
-    """The separated sum, its bottom, and the ids of both injections."""
+    """The separated sum, the ids of both injections, and their pair tables."""
     p = sum_sep(x, y, caps)
-    inl = np.array([p.elem_index[("inl", d)] for d in x.elems], dtype=np.int64)
-    inr = np.array([p.elem_index[("inr", d)] for d in y.elems], dtype=np.int64)
-    return p, p.elem_index["bot"], _frozen(inl), _frozen(inr)
+    inl, inr = p.rank[1 : 1 + x.n], p.rank[1 + x.n :]
+    return p, inl, inr, PairTable(inl, p.n), PairTable(inr, p.n)
 
 
 @lru_cache(maxsize=None)
@@ -315,42 +315,97 @@ def eval_obj(
 # ---------------------------------------------------------------------------
 
 
-def lift_map(inner: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
-    """Lift a map: fresh bottoms correspond, up-elements follow inner."""
-    dom, dbot, dups = _lift_c(inner.dom, caps)
-    cod, cbot, cups = _lift_c(inner.cod, caps)
-    table = np.empty(dom.n, dtype=np.int64)
-    table[dbot] = cbot
-    table[dups] = cups.take(inner.arr)
-    return MonotoneMap(dom, cod, table)
+class MapRows(NamedTuple):
+    """A batch of monotone maps dom -> cod: row r of the int64 array arr is
+    the table of map r.  The map actions pair the rows of their arguments,
+    and a one-row batch pairs with every row of the other."""
+
+    dom: FinPoset
+    cod: FinPoset
+    arr: np.ndarray
 
 
-def prod_map(fl: MonotoneMap, fr: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
-    """Componentwise action on a product."""
+def _rows(m: MonotoneMap | None) -> MapRows | None:
+    return None if m is None else MapRows(m.dom, m.cod, m.arr[None])
+
+
+def lift_map(inner: MapRows, caps: Caps = DEFAULT_CAPS) -> MapRows:
+    """Lift each map: fresh bottoms correspond, up-elements follow inner."""
+    dom, dups, _ = _lift_c(inner.dom, caps)
+    cod, cups, _ = _lift_c(inner.cod, caps)
+    out = np.empty((len(inner.arr), dom.n), dtype=np.int64)
+    out[:, dom.bottom] = cod.bottom
+    out[:, dups] = cups.take(inner.arr)
+    return MapRows(dom, cod, out)
+
+
+def prod_map(fl: MapRows, fr: MapRows, caps: Caps = DEFAULT_CAPS) -> MapRows:
+    """Componentwise action on a product, row by row."""
     dom, didx = _prod_c(fl.dom, fr.dom, caps)
     cod, cidx = _prod_c(fl.cod, fr.cod, caps)
-    table = np.empty(dom.n, dtype=np.int64)
-    table[didx] = cidx.take(fl.arr, 0).take(fr.arr, 1)
-    return MonotoneMap(dom, cod, table)
+    out = np.empty((max(len(fl.arr), len(fr.arr)), dom.n), dtype=np.int64)
+    out[:, didx] = cidx[fl.arr[:, :, None], fr.arr[:, None, :]]
+    return MapRows(dom, cod, out)
 
 
-def sum_map(fl: MonotoneMap, fr: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
-    """Injection-respecting action on a separated sum."""
-    dom, dbot, dinl, dinr = _sum_c(fl.dom, fr.dom, caps)
-    cod, cbot, cinl, cinr = _sum_c(fl.cod, fr.cod, caps)
-    table = np.empty(dom.n, dtype=np.int64)
-    table[dbot] = cbot
-    table[dinl] = cinl.take(fl.arr)
-    table[dinr] = cinr.take(fr.arr)
-    return MonotoneMap(dom, cod, table)
+def sum_map(fl: MapRows, fr: MapRows, caps: Caps = DEFAULT_CAPS) -> MapRows:
+    """Injection-respecting action on a separated sum, row by row."""
+    dom, dinl, dinr, _, _ = _sum_c(fl.dom, fr.dom, caps)
+    cod, cinl, cinr, _, _ = _sum_c(fl.cod, fr.cod, caps)
+    out = np.empty((max(len(fl.arr), len(fr.arr)), dom.n), dtype=np.int64)
+    out[:, dom.bottom] = cod.bottom
+    out[:, dinl] = cinl.take(fl.arr)
+    out[:, dinr] = cinr.take(fr.arr)
+    return MapRows(dom, cod, out)
 
 
-def hom_map(am: MonotoneMap, bm: MonotoneMap, caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
-    """The action h |-> bm . h . am : hom(am.cod, bm.dom) -> hom(am.dom, bm.cod)."""
+def hom_map(am: MapRows, bm: MapRows, caps: Caps = DEFAULT_CAPS) -> MapRows:
+    """Row by row, the action h |-> bm . h . am : hom(am.cod, bm.dom) ->
+    hom(am.dom, bm.cod)."""
     dom, tables, _ = _hom_c(am.cod, bm.dom, caps)
     cod, _, index = _hom_c(am.dom, bm.cod, caps)
-    comp = bm.arr.take(tables.take(am.arr, 1))  # row t: bm . t . am
-    return MonotoneMap(dom, cod, [index[t.tobytes()] for t in comp])
+    inner = tables[:, am.arr].swapaxes(0, 1)  # [r, t]: t . am_r
+    comp = bm.arr[np.arange(len(bm.arr))[:, None, None], inner]  # [r, t]: bm_r . t . am_r
+    ids = [index[t.tobytes()] for t in comp.reshape(-1, am.dom.n)]
+    return MapRows(dom, cod, np.reshape(ids, comp.shape[:2]))
+
+
+def eval_maps(
+    f: FunctorExpr,
+    fneg: MapRows | None,
+    fpos: MapRows | None,
+    caps: Caps = DEFAULT_CAPS,
+) -> MapRows:
+    """Morphism action of f on batches of maps: row r of the result is the
+    action on row r of fneg and of fpos (a one-row batch pairs with every
+    row).  An expression without Var gives one row."""
+    if isinstance(f, One):
+        return MapRows(_ONE, _ONE, np.zeros((1, 1), dtype=np.int64))
+    if isinstance(f, Var):
+        if fpos is None:
+            raise TypeMismatch("Var needs a map in its slot", functor=to_src(f))
+        return fpos
+    if isinstance(f, Const):
+        return MapRows(f.poset, f.poset, np.arange(f.poset.n)[None])
+    if isinstance(f, Lift):
+        return lift_map(eval_maps(f.body, fneg, fpos, caps), caps)
+    if isinstance(f, Prod):
+        return prod_map(
+            eval_maps(f.left, fneg, fpos, caps),
+            eval_maps(f.right, fneg, fpos, caps),
+            caps,
+        )
+    if isinstance(f, SumSep):
+        return sum_map(
+            eval_maps(f.left, fneg, fpos, caps),
+            eval_maps(f.right, fneg, fpos, caps),
+            caps,
+        )
+    if isinstance(f, Fun):
+        am = eval_maps(f.left, fpos, fneg, caps)
+        bm = eval_maps(f.right, fneg, fpos, caps)
+        return hom_map(am, bm, caps)
+    raise TypeMismatch("unknown functor node", node=type(f).__name__)
 
 
 def eval_map(
@@ -359,40 +414,15 @@ def eval_map(
     fpos: MonotoneMap | None,
     caps: Caps = DEFAULT_CAPS,
 ) -> MonotoneMap:
-    """Morphism action of f.
+    """Morphism action of f: eval_maps on one row.
 
     fneg runs in the contravariant direction (Xneg' -> Xneg), fpos in the
     covariant one (Xpos -> Xpos'); the result maps eval_obj(f, Xneg, Xpos)
     to eval_obj(f, Xneg', Xpos').  A None argument is permitted whenever f
     never consumes that slot.
     """
-    if isinstance(f, One):
-        return _ONE_MAP
-    if isinstance(f, Var):
-        if fpos is None:
-            raise TypeMismatch("Var needs a map in its slot", functor=to_src(f))
-        return fpos
-    if isinstance(f, Const):
-        return identity_map(f.poset)
-    if isinstance(f, Lift):
-        return lift_map(eval_map(f.body, fneg, fpos, caps), caps)
-    if isinstance(f, Prod):
-        return prod_map(
-            eval_map(f.left, fneg, fpos, caps),
-            eval_map(f.right, fneg, fpos, caps),
-            caps,
-        )
-    if isinstance(f, SumSep):
-        return sum_map(
-            eval_map(f.left, fneg, fpos, caps),
-            eval_map(f.right, fneg, fpos, caps),
-            caps,
-        )
-    if isinstance(f, Fun):
-        am = eval_map(f.left, fpos, fneg, caps)
-        bm = eval_map(f.right, fneg, fpos, caps)
-        return hom_map(am, bm, caps)
-    raise TypeMismatch("unknown functor node", node=type(f).__name__)
+    out = eval_maps(f, _rows(fneg), _rows(fpos), caps)
+    return MonotoneMap(out.dom, out.cod, out.arr[0])
 
 
 def eval_ep(f: FunctorExpr, ep: EpPair, caps: Caps = DEFAULT_CAPS) -> EpPair:
@@ -416,13 +446,15 @@ def eval_ep(f: FunctorExpr, ep: EpPair, caps: Caps = DEFAULT_CAPS) -> EpPair:
 # ---------------------------------------------------------------------------
 
 
-# The last call of eval_rel per (functor, caps, neg carrier, pos carrier),
-# as (rneg, spos, output).  A chain level settles after finitely many
-# iterations and every later iterate asks for the same level again, so one
-# entry per level answers those calls with a comparison.
-_last_rel: dict = {}
-# eval_rel calls and the ones the last-call cache answered, since import.
+# eval_rel calls, and the ones a table answered, since import.
 rel_cache_counts = {"calls": 0, "hits": 0}
+
+
+@lru_cache(maxsize=None)
+def _reads(f: FunctorExpr) -> tuple[bool, bool]:
+    """Whether f reads its negative and its positive relation."""
+    polarities = var_polarities(f)
+    return -1 in polarities, 1 in polarities
 
 
 def eval_rel(
@@ -430,26 +462,35 @@ def eval_rel(
     rneg: BinRel | None,
     spos: BinRel | None,
     caps: Caps = DEFAULT_CAPS,
+    table: dict | None = None,
 ) -> BinRel:
-    """Relational action F(rneg, spos); inputs and output are admissible."""
+    """Relational action F(rneg, spos); inputs and output are admissible.
+
+    table, if given, holds the outputs of earlier calls with this f and
+    caps (DomainChain.rel_table is its chain's), keyed by the inputs f
+    reads: a slot whose polarity has no Var is left out of the key.  A
+    call whose read inputs are in the table returns the stored output,
+    which was checked when it was stored; a call that raises stores
+    nothing.
+    """
     for r in (rneg, spos):
         if r is not None and not is_admissible(r):
             raise InadmissibleRelation(
                 "relational action needs admissible inputs", functor=to_src(f)
             )
-    key = (f, caps, getattr(rneg, "carrier", None), getattr(spos, "carrier", None))
-    last = _last_rel.get(key)
     rel_cache_counts["calls"] += 1
-    if last is not None and last[0] == rneg and last[1] == spos:
+    neg, pos = _reads(f)
+    key = (rneg if neg else None, spos if pos else None)
+    if table is not None and key in table:
         rel_cache_counts["hits"] += 1
-        out = last[2]
-    else:
-        out = _eval_rel(f, rneg, spos, caps)
+        return table[key]
+    out = _eval_rel(f, rneg, spos, caps)
     if not is_admissible(out):
         raise InternalInvariantViolation(
             "relational action produced an inadmissible relation", functor=to_src(f)
         )
-    _last_rel[key] = (rneg, spos, out)
+    if table is not None:
+        table[key] = out
     return out
 
 
@@ -464,8 +505,8 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
         return f.rel
     if isinstance(f, Lift):
         r = _eval_rel(f.body, rneg, spos, caps)
-        p, _, ups = _lift_c(r.carrier, caps)
-        return BinRel(p, cached_pair_table(ups.tobytes(), p.n).push(r.mask) | 1 << bottom_index(p))
+        p, _, up = _lift_c(r.carrier, caps)
+        return BinRel(p, up.push(r.mask) | 1 << bottom_index(p))
     if isinstance(f, Prod):
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
@@ -482,10 +523,8 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
     if isinstance(f, SumSep):
         rl = _eval_rel(f.left, rneg, spos, caps)
         rr = _eval_rel(f.right, rneg, spos, caps)
-        p, _, inl, inr = _sum_c(rl.carrier, rr.carrier, caps)
-        mask = (cached_pair_table(inl.tobytes(), p.n).push(rl.mask)
-                | cached_pair_table(inr.tobytes(), p.n).push(rr.mask))
-        return BinRel(p, mask | 1 << bottom_index(p))
+        p, _, _, inl, inr = _sum_c(rl.carrier, rr.carrier, caps)
+        return BinRel(p, inl.push(rl.mask) | inr.push(rr.mask) | 1 << bottom_index(p))
     if isinstance(f, Fun):
         ra = _eval_rel(f.left, spos, rneg, caps)
         rb = _eval_rel(f.right, rneg, spos, caps)

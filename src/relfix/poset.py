@@ -80,7 +80,15 @@ class FinPoset:
     pointedness.
     """
 
-    def __init__(self, leq: np.ndarray, bottom: int, elems: tuple, label: str | None = None):
+    def __init__(
+        self,
+        leq: np.ndarray,
+        bottom: int,
+        elems: tuple,
+        label: str | None = None,
+        heights: np.ndarray | None = None,
+        rank: np.ndarray | None = None,
+    ):
         leq = np.asarray(leq, dtype=bool)
         leq.setflags(write=False)
         self.leq = leq
@@ -88,6 +96,12 @@ class FinPoset:
         self.bottom = bottom
         self.elems = elems
         self.label = label
+        # for a poset built from a layout (see _canonical_build): the id of
+        # each layout element; None otherwise
+        self.rank = rank
+        if heights is not None:  # known to the builder: no scan
+            heights.setflags(write=False)
+            self.heights = heights
 
     # -- identity ---------------------------------------------------------
 
@@ -152,10 +166,15 @@ def _short_descriptor(d) -> str:
     return str(d)
 
 
-def _canonical_build(leq: np.ndarray, elems: tuple, label: str | None) -> FinPoset:
-    """Relabel along the stable height sort and locate the bottom."""
-    n = leq.shape[0]
-    heights = _heights(leq)
+def _canonical_build(
+    leq: np.ndarray, elems: tuple, label: str | None, heights: np.ndarray | None = None
+) -> FinPoset:
+    """Relabel a layout (leq and elems in any element order) along the
+    stable height sort and locate the bottom; the poset's rank is the new
+    id of each layout element.  A construction that knows the heights
+    passes them; otherwise they are scanned from leq."""
+    if heights is None:
+        heights = _heights(leq)
     perm = np.argsort(heights, kind="stable")
     leq2 = leq.take(perm, 0).take(perm, 1)
     elems2 = tuple(elems[p] for p in perm)
@@ -164,7 +183,10 @@ def _canonical_build(leq: np.ndarray, elems: tuple, label: str | None) -> FinPos
         raise NoLeastElement(
             "no least element", candidate=elems2[0], not_above=elems2[bad]
         )
-    return FinPoset(leq2, 0, elems2, label)
+    rank = np.empty(len(perm), dtype=np.int64)
+    rank[perm] = np.arange(len(perm))
+    rank.setflags(write=False)
+    return FinPoset(leq2, 0, elems2, label, heights[perm], rank)
 
 
 def validate_poset(
@@ -337,29 +359,37 @@ def _check_size(n: int, caps: Caps, what: str, **extra) -> None:
         )
 
 
+# The three structural constructions lay their elements out as the fresh
+# bottom (if any), then the components' elements in order, and pass every
+# height: 0 for the fresh bottom, a component's height + 1 for an injected
+# element, and the sum of the components' heights for a pair.
+
+
 def lift(x: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:
-    """One fresh bottom strictly below an embedded copy of x."""
+    """One fresh bottom strictly below an embedded copy of x (layout: the
+    bottom, then up(i) for each element i of x)."""
     n = x.n + 1
     _check_size(n, caps, "lift")
     leq = np.zeros((n, n), dtype=bool)
     leq[0, :] = True
-    leq[0, 0] = True
     leq[1:, 1:] = x.leq
     elems = ("bot",) + tuple(("up", d) for d in x.elems)
-    return _canonical_build(leq, elems, None)
+    return _canonical_build(leq, elems, None, np.r_[0, x.heights + 1])
 
 
 def product(x: FinPoset, y: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:
-    """Cartesian product with the componentwise order."""
+    """Cartesian product with the componentwise order (layout: the pair
+    (i, j) at i * y.n + j)."""
     n = x.n * y.n
     _check_size(n, caps, "product")
     leq = np.kron(x.leq, y.leq)
     elems = tuple((dx, dy) for dx in x.elems for dy in y.elems)
-    return _canonical_build(leq, elems, None)
+    return _canonical_build(leq, elems, None, np.add.outer(x.heights, y.heights).ravel())
 
 
 def sum_sep(x: FinPoset, y: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:
-    """Separated sum: a fresh bottom below two incomparable injected copies."""
+    """Separated sum: a fresh bottom below two incomparable injected copies
+    (layout: the bottom, then inl of x's elements, then inr of y's)."""
     n = 1 + x.n + y.n
     _check_size(n, caps, "separated sum")
     leq = np.zeros((n, n), dtype=bool)
@@ -371,7 +401,7 @@ def sum_sep(x: FinPoset, y: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:
         + tuple(("inl", d) for d in x.elems)
         + tuple(("inr", d) for d in y.elems)
     )
-    return _canonical_build(leq, elems, None)
+    return _canonical_build(leq, elems, None, np.r_[0, x.heights + 1, y.heights + 1])
 
 
 def enumerate_monotone_maps(x: FinPoset, y: FinPoset, max_count: int | None = None):

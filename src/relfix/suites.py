@@ -39,7 +39,6 @@ from .functor import (
     Var,
     check_functor_laws,
     eval_map,
-    hom_map,
 )
 from .karoubi import (
     Idempotent,
@@ -198,7 +197,7 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
         total_x = masks_to_rows([total_rel(x).mask], x.n * x.n)
         # the unordered pairs {S1, S2}, each once
         i, j = np.triu_indices(len(rows))
-        meets = rows[i] & rows[j]
+        meets = rows.take(i, 0) & rows.take(j, 0)
         for f in _all_maps(x, y):
             pt = pair_table(f)
             count += 1
@@ -206,7 +205,7 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
                 ok = False
             pulls = pt.pull_rows(rows)
             count += len(i)
-            if not np.array_equal(pt.pull_rows(meets), pulls[i] & pulls[j]):
+            if not np.array_equal(pt.pull_rows(meets), pulls.take(i, 0) & pulls.take(j, 0)):
                 ok = False
     report["properties"]["meet_preservation"] = {"instances": count, "ok": ok}
 
@@ -290,7 +289,7 @@ def _broken_action(f: FunctorExpr, fneg, fpos, caps: Caps = DEFAULT_CAPS):
         am = eval_map(f.left, fpos, fneg, caps)
         bm = eval_map(f.right, fneg, fpos, caps)
         if am.dom == am.cod and bm.dom == bm.cod:
-            return hom_map(bm, am, caps)
+            return eval_map(Fun(Var(), Var()), bm, am, caps)  # hom_map(bm, am)
     return eval_map(f, fneg, fpos, caps)
 
 

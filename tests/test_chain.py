@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from relfix.chain import (
+    DomainChain,
+    _verify_chain,
     bottom_family,
     build_chain,
     diagonal_family,
@@ -19,14 +23,16 @@ from relfix.chain import (
     truncation_projections,
 )
 from relfix.engines import compare_methods, solve_kleene
+from relfix.ep import EpPair
 from relfix.errors import (
     DualMismatch,
     InadmissibleRelation,
+    LawViolation,
     SizeCapExceeded,
     TypeMismatch,
 )
 from relfix.functor import Const, Lift, One, Prod, SumSep, Var, eval_map
-from relfix.poset import MonotoneMap, chain_poset
+from relfix.poset import MonotoneMap, chain_poset, identity_map
 from relfix.relations import diagonal, rel_from_pairs, total_rel
 from relfix.suites import canonical_specs
 
@@ -103,6 +109,42 @@ def test_pi_recurrence_under_level_identification(chains):
                 assert lhs == eval_map(f, inner, inner, ch.caps)
 
 
+def _first_recurrence_failure(ch):
+    """The pi recurrence checked one instance at a time, as MonotoneMap
+    compositions and eval_map calls: the first (j, level, lhs, rhs) where
+    the conjugated pi_{j+1} differs from the functor's action on pi_j."""
+    lower = [identity_map(ch.levels[0])]
+    for m in range(1, ch.depth + 1):
+        step = ch.steps[m - 1]
+        rows = [step.e @ pi @ step.p for pi in lower] + [identity_map(ch.levels[m])]
+        for j, pi in enumerate(lower):
+            rhs = eval_map(ch.functor, pi, pi, ch.caps)
+            if rows[j + 1] != rhs:
+                return {"j": j, "level": m - 1, "lhs": rows[j + 1].table, "rhs": rhs.table}
+        lower = rows
+    return None
+
+
+@pytest.mark.parametrize("name", ["lazy_nat", "streams", "reflexive"])
+def test_a_corrupted_step_fails_the_chain_check_with_its_witness(chains, name):
+    # one step's embedding sends its top element, or every element, to the
+    # bottom; the batched check must fail on the instance the element-wise
+    # check fails on first
+    ch = chains[name]
+    for k, whole in itertools.product(range(1, ch.depth), (False, True)):
+        e = ch.steps[k].e
+        bent = np.full(e.dom.n, e.cod.bottom) if whole else [*e.arr[:-1], e.cod.bottom]
+        bent_step = EpPair(MonotoneMap(e.dom, e.cod, bent), ch.steps[k].p)
+        steps = ch.steps[:k] + (bent_step,) + ch.steps[k + 1 :]
+        bad = DomainChain(ch.functor, ch.depth, ch.levels, steps, ch.caps)
+        want = _first_recurrence_failure(bad)
+        assert want is not None and want["level"] == k
+        with pytest.raises(LawViolation) as err:
+            _verify_chain(bad)
+        assert err.value.details["check"] == "pi recurrence"
+        assert {key: err.value.details[key] for key in want} == want
+
+
 def test_ep_pairs_compose_along_the_chain(lazy_chain):
     ch = lazy_chain
     for j in range(ch.depth + 1):
@@ -133,8 +175,9 @@ def test_build_and_solve_read_maps_as_arrays_only(f, depth, monkeypatch):
     report = compare_methods(ch)
     assert report["agreement"] and report["uniform"]
     assert views == []
-    # no cache of composites: the steps and the depth + 1 cumulative pairs
-    assert sorted(vars(ch)) == ["caps", "cums", "depth", "functor", "levels", "steps"]
+    # no cache of composites: the steps, the depth + 1 cumulative pairs and
+    # the table of the relational action
+    assert sorted(vars(ch)) == ["caps", "cums", "depth", "functor", "levels", "rel_table", "steps"]
     assert len(ch.steps) == depth and len(ch.cums) == depth + 1
     for j, pair in enumerate(ch.cums):
         assert pair.dom == ch.levels[j] and pair.cod == ch.top

@@ -268,9 +268,13 @@ def test_timings_go_to_stderr_only():
     assert plain.stderr == ""
     lines = timed.stderr.splitlines()
     assert [line.split(":")[0] for line in lines] == ["relate[all]", "eval_rel", "pair_tables"]
-    m = re.fullmatch(r"eval_rel: (\d+) calls, (\d+) answered by the last-call cache", lines[1])
+    m = re.fullmatch(
+        r"eval_rel: (\d+) calls, (\d+) answered by the chain's table, (\d+) entries", lines[1]
+    )
     assert m is not None, lines[1]
-    assert 0 < int(m.group(2)) < int(m.group(1))
+    calls, hits, entries = map(int, m.groups())
+    assert 0 < hits < calls
+    assert entries == calls - hits  # every other call stored its answer
 
 
 def test_relate_timings_count_the_wide_pair_tables():

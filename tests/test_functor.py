@@ -6,6 +6,7 @@ import functools
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from relfix import engines, functor
@@ -22,6 +23,7 @@ from relfix.functor import (
     Const,
     Fun,
     Lift,
+    MapRows,
     One,
     Prod,
     SumSep,
@@ -29,6 +31,7 @@ from relfix.functor import (
     check_functor_laws,
     eval_ep,
     eval_map,
+    eval_maps,
     eval_obj,
     eval_rel,
     hom_map,
@@ -51,6 +54,7 @@ from relfix.poset import (
     product,
     small_pointed_posets,
     sum_sep,
+    vee,
 )
 from relfix.relations import (
     bottom_rel,
@@ -167,24 +171,73 @@ def _loop_hom_map(am: MonotoneMap, bm: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(dom, cod, table)
 
 
+def _batch_of(maps):
+    """The maps (all of one type) as the rows of one MapRows batch."""
+    return MapRows(maps[0].dom, maps[0].cod, np.array([m.arr for m in maps]))
+
+
+def _row(rows, r):
+    return MonotoneMap(rows.dom, rows.cod, rows.arr[r])
+
+
 def test_map_actions_match_their_element_loops():
+    # one batch per type of the maps between posets of small_pointed_posets(),
+    # and one per pair of types for the binary actions (every pair of maps,
+    # row by row); each output row must be the element loop's map
     posets = small_pointed_posets()
-    maps = [
-        MonotoneMap(x, y, t)
+    by_type = {
+        (x, y): [MonotoneMap(x, y, t) for t in enumerate_monotone_maps(x, y)]
         for x, y in itertools.product(posets, repeat=2)
-        for t in enumerate_monotone_maps(x, y)
-    ]
-    for f in maps:
-        got, want = lift_map(f), _loop_lift_map(f)
-        assert got == want and got.table == want.table
+    }
+    for maps in by_type.values():
+        out = lift_map(_batch_of(maps))
+        assert len(out.arr) == len(maps)
+        for r, f in enumerate(maps):
+            got, want = _row(out, r), _loop_lift_map(f)
+            assert got == want and got.table == want.table
     count = 0
-    for fl, fr in itertools.product(maps, repeat=2):
+    for left, right in itertools.product(by_type.values(), repeat=2):
+        pairs = list(itertools.product(left, right))
+        fl, fr = _batch_of([p[0] for p in pairs]), _batch_of([p[1] for p in pairs])
         for action, loop in ((prod_map, _loop_prod_map), (sum_map, _loop_sum_map),
                              (hom_map, _loop_hom_map)):
-            got, want = action(fl, fr), loop(fl, fr)
-            assert got == want and got.table == want.table, (action.__name__, fl, fr)
-        count += 1
-    assert count == len(maps) ** 2 > 1000
+            out = action(fl, fr)
+            assert len(out.arr) == len(pairs)
+            for r, (a, b) in enumerate(pairs):
+                got, want = _row(out, r), loop(a, b)
+                assert got == want and got.table == want.table, (action.__name__, a, b)
+        count += len(pairs)
+    assert count == sum(map(len, by_type.values())) ** 2 > 1000
+
+
+def test_a_one_row_batch_pairs_with_every_row():
+    x, y = chain_poset(3), vee()
+    maps = [MonotoneMap(x, y, t) for t in enumerate_monotone_maps(x, y)]
+    ends = [MonotoneMap(y, y, t) for t in enumerate_monotone_maps(y, y)]
+    batch = _batch_of(maps)
+    for e in ends:
+        one_row = _batch_of([e])
+        for action, loop in ((prod_map, _loop_prod_map), (sum_map, _loop_sum_map),
+                             (hom_map, _loop_hom_map)):
+            for out, want in ((action(one_row, batch), [loop(e, m) for m in maps]),
+                              (action(batch, one_row), [loop(m, e) for m in maps])):
+                assert [_row(out, r) for r in range(len(maps))] == want
+
+
+def test_eval_maps_is_eval_map_row_by_row():
+    # the one-row case of eval_maps is eval_map; a batch gives the same rows,
+    # mixed variance included, and an expression without Var gives one row
+    x = chain_poset(3)
+    ends = [MonotoneMap(x, x, t) for t in enumerate_monotone_maps(x, x)]
+    negs, poss = _batch_of(ends), _batch_of(ends[::-1])
+    for f in (LAZY, STREAM, REFLEX, Fun(Var(), One()), Fun(Fun(Var(), One()), Var())):
+        out = eval_maps(f, negs, poss)
+        assert len(out.arr) == len(ends)
+        for r, (n, p) in enumerate(zip(ends, ends[::-1])):
+            assert _row(out, r) == eval_map(f, n, p)
+    closed = Lift(Prod(Const(C2, diagonal(C2)), One()))
+    out = eval_maps(closed, None, None)
+    assert len(out.arr) == 1 and _row(out, 0).is_identity()
 
 
 def test_eval_rel_on_the_sum_functor():
@@ -211,16 +264,10 @@ def test_eval_rel_rejects_inadmissible_inputs():
         eval_rel(LAZY, rel_from_pairs(C2, [(1, 1)]), rel_from_pairs(C2, [(1, 1)]))
 
 
-def _slot(f, rneg, spos, caps):
-    """The last-call cache slot of an eval_rel call."""
-    return (f, caps) + tuple(None if r is None else r.carrier for r in (rneg, spos))
-
-
 @pytest.fixture
-def fresh_rel_cache(monkeypatch):
-    """An empty last-call cache, and a count of the _eval_rel runs that
-    answer eval_rel calls (recursive runs inside one call not counted)."""
-    monkeypatch.setattr(functor, "_last_rel", {})
+def counted_runs(monkeypatch):
+    """A count of the _eval_rel runs that answer eval_rel calls (recursive
+    runs inside one call not counted)."""
     runs = [0]
     depth = [0]
     real = functor._eval_rel
@@ -237,56 +284,100 @@ def fresh_rel_cache(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("f, depth", [(LAZY, 40), (REFLEX, 3)])
-def test_eval_rel_runs_once_per_change_of_inputs_at_a_slot(
-    monkeypatch, fresh_rel_cache, f, depth
+def _read_key(reads, rneg, spos):
+    """The inputs a functor reads, given its slots as (neg, pos) flags."""
+    return (rneg if reads[0] else None, spos if reads[1] else None)
+
+
+# Which slots each functor reads, written down here rather than computed
+# from var_polarities: Var sits in the positive slot of LAZY and STREAM, in
+# both of REFLEX, only in the negative one of Fun(Var, One), and in the
+# positive one of Fun(Fun(Var, One), One) (two contravariant positions).
+READS = {
+    LAZY: (False, True),
+    STREAM: (False, True),
+    REFLEX: (True, True),
+    Fun(Var(), One()): (True, False),
+    Fun(Fun(Var(), One()), One()): (False, True),
+    Fun(Var(), Var()): (True, True),
+}
+
+
+@pytest.mark.parametrize(
+    "f, depth, calls",
+    [(LAZY, 40, 6640), (STREAM, 8, None), (REFLEX, 3, None)],
+    ids=["lazy_nat_d40", "streams_d8", "reflexive_d3"],
+)
+def test_eval_rel_runs_once_per_distinct_read_inputs(
+    monkeypatch, counted_runs, f, depth, calls
 ):
-    calls = []
+    recorded = []
 
-    def recorded(f, rneg, spos, caps=DEFAULT_CAPS):
-        calls.append((f, rneg, spos, caps))
-        return eval_rel(f, rneg, spos, caps)
+    def recording(f, rneg, spos, caps=DEFAULT_CAPS, table=None):
+        recorded.append((rneg, spos))
+        return eval_rel(f, rneg, spos, caps, table)
 
-    monkeypatch.setattr(engines, "eval_rel", recorded)
-    compare_methods(build_chain(f, depth))
-    # the oracle: a call runs _eval_rel exactly when its inputs differ
-    # from those of the previous call at the same slot
-    last, changed = {}, 0
-    for g, rneg, spos, caps in calls:
-        slot = _slot(g, rneg, spos, caps)
-        changed += last.get(slot) != (rneg, spos)
-        last[slot] = (rneg, spos)
-    assert 0 < changed < len(calls)
-    assert fresh_rel_cache[0] == changed
-    assert set(functor._last_rel) == set(last)
+    monkeypatch.setattr(engines, "eval_rel", recording)
+    hits = functor.rel_cache_counts["hits"]
+    ch = build_chain(f, depth)
+    compare_methods(ch)
+    # the oracle: one run per distinct read input among the recorded calls
+    distinct = {_read_key(READS[f], rneg, spos) for rneg, spos in recorded}
+    assert counted_runs[0] == len(distinct) == len(ch.rel_table) < len(recorded)
+    assert set(ch.rel_table) == distinct
+    assert functor.rel_cache_counts["hits"] - hits == len(recorded) - len(distinct)
+    if calls is not None:  # the engines' calls are those of the bench pin
+        assert len(recorded) == calls
+    if READS[f] == (False, True):  # a covariant F: d distinct inputs per level
+        assert len(distinct) == depth**2
 
 
-def test_eval_rel_answers_interleaved_calls_like_a_fresh_run(fresh_rel_cache):
+def test_the_table_answers_interleaved_calls_like_a_fresh_run(counted_runs):
     c3 = chain_poset(3)
     pools = [
-        [bottom_rel(p), diagonal(p), rel_from_matrix(p, p.leq), total_rel(p)]
+        [bottom_rel(p), diagonal(p), rel_from_matrix(p, p.leq), rel_from_matrix(p, p.leq.T),
+         total_rel(p)]
         for p in (C2, c3)
     ]
-    rels = pools[0] + pools[1]
+    # two admissible relations that are neither symmetric nor reflexive
+    pools[1] += [rel_from_pairs(c3, [(0, 0), (0, 2), (2, 1)]),
+                 rel_from_pairs(c3, [(0, 0), (1, 0), (1, 2), (2, 2)])]
     caps_pair = (DEFAULT_CAPS, Caps(max_elements=10_000))
-    instances = list(itertools.product((REFLEX, Fun(Var(), Var())), caps_pair, rels, rels))
-    # each instance twice in a row, then the whole list again with neg and
-    # pos swapped, then once more in the first order
-    seq = [i for i in instances for _ in range(2)]
-    seq += [(f, caps, s, r) for f, caps, r, s in instances] + instances
-    for f, caps, r, s in seq:
-        assert eval_rel(f, r, s, caps) == functor._eval_rel(f, r, s, caps)
-    slots = {_slot(f, r, s, caps) for f, caps, r, s in instances}
-    assert set(functor._last_rel) == slots
+    for f, caps in itertools.product(READS, caps_pair):
+        table, runs, fresh = {}, counted_runs[0], 0
+        for pool in pools:
+            instances = list(itertools.product(pool, pool))
+            # each instance twice in a row, then the list with neg and pos
+            # swapped, then once more in the first order
+            seq = [i for i in instances for _ in range(2)]
+            seq += [(s, r) for r, s in instances] + instances
+            for r, s in seq:
+                assert eval_rel(f, r, s, caps, table) == functor._eval_rel(f, r, s, caps)
+            fresh += len(seq)
+        want = {_read_key(READS[f], r, s) for pool in pools for r in pool for s in pool}
+        assert set(table) == want
+        # one run per entry, besides the oracle's own runs
+        assert counted_runs[0] - runs - fresh == len(want)
 
 
-def test_a_call_over_its_cap_leaves_no_cache_entry(fresh_rel_cache):
+def test_a_hit_still_checks_its_inputs():
+    # LAZY does not read its negative slot, so an inadmissible relation there
+    # has the key of a stored entry
+    table = {}
+    out = eval_rel(LAZY, diagonal(C2), diagonal(C2), DEFAULT_CAPS, table)
+    assert eval_rel(LAZY, total_rel(C2), diagonal(C2), DEFAULT_CAPS, table) is out
+    with pytest.raises(InadmissibleRelation):
+        eval_rel(LAZY, rel_from_pairs(C2, [(1, 1)]), diagonal(C2), DEFAULT_CAPS, table)
+
+
+def test_a_call_over_its_cap_leaves_no_table_entry(counted_runs):
     f = Prod(Var(), Var())
     c3 = chain_poset(3)
+    table = {}
     with pytest.raises(SizeCapExceeded):
-        eval_rel(f, None, total_rel(c3), Caps(max_pairs=50))
-    assert functor._last_rel == {}
-    assert fresh_rel_cache[0] == 1
+        eval_rel(f, None, total_rel(c3), Caps(max_pairs=50), table)
+    assert table == {}
+    assert counted_runs[0] == 1
 
 
 def test_eval_ep_produces_valid_pairs():
@@ -318,7 +409,8 @@ def _swapped(f, neg, pos, caps=None):
     # identities still map to identities, but composition breaks
     endo = neg.dom == neg.cod and pos.dom == pos.cod and neg.dom == pos.dom
     if isinstance(f, Fun) and endo:
-        return hom_map(pos, neg) if caps is None else hom_map(pos, neg, caps)
+        swapped = Fun(Var(), Var())  # its action on (pos, neg) is hom_map(pos, neg)
+        return eval_map(swapped, pos, neg) if caps is None else eval_map(swapped, pos, neg, caps)
     return eval_map(f, neg, pos) if caps is None else eval_map(f, neg, pos, caps)
 
 

@@ -17,8 +17,10 @@ from relfix.errors import (
     NotMonotone,
     SizeCapExceeded,
 )
+from relfix.functor import Lift, Prod, SumSep, Var
 from relfix.poset import (
     FinPoset,
+    _canonical_build,
     MonotoneMap,
     chain_poset,
     const_map,
@@ -294,6 +296,57 @@ def test_sum_sep_glues_below_a_fresh_bottom():
     # the two summands stay incomparable except through the new bottom
     maximal = [x for x in others if not any(s.le(x, y) and x != y for y in others)]
     assert len(maximal) == 2
+
+
+def _raw_layouts(x, y):
+    """The three constructions' element layouts before canonicalization,
+    built here from the definitions: (name, builder, leq, elems)."""
+    lift_leq = np.zeros((x.n + 1, x.n + 1), dtype=bool)
+    lift_leq[0] = True
+    lift_leq[1:, 1:] = x.leq
+    sum_leq = np.zeros((1 + x.n + y.n,) * 2, dtype=bool)
+    sum_leq[0] = True
+    sum_leq[1 : 1 + x.n, 1 : 1 + x.n] = x.leq
+    sum_leq[1 + x.n :, 1 + x.n :] = y.leq
+    return [
+        ("lift", lambda: lift(x), lift_leq, ("bot",) + tuple(("up", d) for d in x.elems)),
+        ("product", lambda: product(x, y),
+         np.array([[x.le(a, c) and y.le(b, d) for c in range(x.n) for d in range(y.n)]
+                   for a in range(x.n) for b in range(y.n)]),
+         tuple((dx, dy) for dx in x.elems for dy in y.elems)),
+        ("sum", lambda: sum_sep(x, y), sum_leq,
+         ("bot",) + tuple(("inl", d) for d in x.elems) + tuple(("inr", d) for d in y.elems)),
+    ]
+
+
+def _corpus_pairs():
+    posets = small_pointed_posets() + [product(chain_poset(3), vee()), lift(vee())]
+    return [(x, y) for x in posets for y in posets]
+
+
+@pytest.mark.parametrize("x, y", _corpus_pairs())
+def test_constructions_know_their_heights_and_ranks(x, y):
+    # the heights a construction passes are the scanned ones, the poset is
+    # the one the scan builds, and rank sends each layout element to the id
+    # that carries its descriptor
+    for name, build, leq, elems in _raw_layouts(x, y):
+        p, scanned = build(), _canonical_build(leq, elems, None)
+        assert p == scanned and p.elems == scanned.elems, name
+        assert np.array_equal(p.heights, _heights(p.leq)), name
+        assert [p.elems[r] for r in p.rank.tolist()] == list(elems), name
+
+
+@pytest.mark.parametrize("f, depth", [
+    (SumSep(SumSep(Var(), Var()), Var()), 4),
+    (Lift(Prod(Var(), Var())), 3),
+    (SumSep(Lift(Var()), Lift(Var())), 5),
+] + [(f, 40 if d == 6 else d) for f, d in canonical_specs().values()])
+def test_chain_levels_carry_their_scanned_heights(f, depth):
+    # every level of chains up to depth 40 has the heights of a scan and is
+    # in the scan's canonical form
+    for level in build_chain(f, depth).levels:
+        assert np.array_equal(level.heights, _heights(level.leq))
+        assert _canonical_build(level.leq, level.elems, None) == level
 
 
 def test_hom_poset_is_ordered_pointwise():
