@@ -376,12 +376,12 @@ def _combined_ids(columns: list, size: int) -> np.ndarray:
     return acc
 
 
-def _distinct_masks(rows: np.ndarray) -> list:
-    """The distinct masks of a batch of packed masks.  Sorting the combined
+def _distinct_masks(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a batch of packed masks.  Sorting the combined
     ids is much cheaper than np.unique(rows, axis=0), which sorts a void
     view of the rows."""
     ids = _combined_ids([rows[:, j] for j in range(rows.shape[1])], len(rows))
-    return rows_to_masks(rows[np.unique(ids, return_index=True)[1]])
+    return rows[np.unique(ids, return_index=True)[1]]
 
 
 def check_contractive(
@@ -411,8 +411,10 @@ def check_contractive(
     levels up to n are a function of the input levels below n: families
     that agree below n get outputs that agree up to n.  The check still
     runs psi levelwise over the enumerated space: each block of packed
-    masks is pulled to every level below the enumeration level, and
-    eval_rel (with its caps) runs once on each new (level, mask).  In full
+    masks is pulled down the step chain to every level below the
+    enumeration level, deduplicated at each level before the next step,
+    and eval_rel (with its caps) runs once on each new (level, mask), the
+    levels ascending.  In full
     mode those are all the levels psi reads, 0..N-1; on sections they are
     0..N-2, and the section masks at level N-1 never meet eval_rel.
 
@@ -458,11 +460,13 @@ def check_contractive(
     if op is None:
         # the input levels are those below the enumeration level; in
         # section mode the top compared n is N-1, so they stop at N-2
-        embs = [pair_table(chain.ep(m, level).e) for m in range(level)]
         done: set = set()
         for block in blocks:
-            for m, emb in enumerate(embs):
-                for mask in _distinct_masks(emb.pull_rows(block)):
+            below = [block]  # pulling along e_{m -> level} is one step at a time
+            for step in reversed(chain.steps[:level]):
+                below.append(_distinct_masks(pair_table(step.e).pull_rows(below[-1])))
+            for m, rows in enumerate(reversed(below[1:])):
+                for mask in rows_to_masks(rows):
                     if (m, mask) not in done:
                         done.add((m, mask))
                         rel = BinRel(chain.levels[m], mask)

@@ -555,13 +555,14 @@ def _law_rels(p: FinPoset) -> list[BinRel]:
     return list(dict.fromkeys(rels))
 
 
-def _tables(outs: list):
-    """The tables of outs as one array, then their dom and cod; None unless
-    outs are MonotoneMaps of one type."""
-    types = {(m.dom, m.cod) if isinstance(m, MonotoneMap) else None for m in outs}
-    if len(types) == 1 and None not in types:
-        return (np.array([m.arr for m in outs]), *types.pop())
-    return None
+@lru_cache(maxsize=None)
+def _morphisms(x: FinPoset, y: FinPoset) -> np.ndarray:
+    """[m, r, s]: the m-th monotone map x -> y is a morphism from the r-th law
+    relation on x to the s-th one on y (the r-th is inside the s-th's pull)."""
+    t = monotone_tables(x, y)
+    img = np.array([s.matrix for s in _law_rels(y)])[:, t[:, :, None], t[:, None, :]]
+    big = np.array([r.matrix for r in _law_rels(x)])
+    return _frozen(~(big[None, :, None] & ~img.swapaxes(0, 1)[:, None]).any(axis=(3, 4)))
 
 
 def check_functor_laws(
@@ -586,9 +587,10 @@ def check_functor_laws(
     time: its instances, in nested-loop order and cut at the budget, are
     index rows into monotone-map tables, and one array comparison over the
     actions' results flags failing rows, which MonotoneMap and BinRel
-    operations recheck in order for the witness.  Results of mixed types
-    (or errors) flag their whole block, so broken actions fail as they
-    would instance by instance.
+    operations recheck in order for the witness: one eval_maps call per
+    block and argument type, or a custom action once per distinct pair.
+    Results of mixed types (or errors) flag their whole block, so broken
+    actions fail as they would instance by instance.
     """
     act_fn = action if action is not None else eval_map
     posets = pool if pool is not None else small_pointed_posets()
@@ -608,26 +610,35 @@ def check_functor_laws(
         tables = maps_between(y, z)[1][g[:, None], maps_between(x, y)[1][h]]
         return np.searchsorted(maps_between(x, z)[2], tables @ z.n ** np.arange(x.n)[::-1])
 
-    @lru_cache(maxsize=None)
-    def morphisms(x: FinPoset, y: FinPoset) -> np.ndarray:
-        """[m, r, s]: the m-th map x -> y is a morphism from the r-th law
-        relation on x to the s-th one on y."""
-        return np.array([[[is_rel_morphism(m, r, s) for s in law_rels(y)] for r in law_rels(x)]
-                         for m in maps_between(x, y)[0]])
-
     def batch(fn, xs: list, ys: list, xi: np.ndarray, yi: np.ndarray):
         """fn once per distinct pair (xs[i], ys[j]) of the rows (i, j): each
         row's index into the results, and the results (errors included)."""
-        code = xi * len(ys) + yi
-        seen = np.zeros(len(xs) * len(ys), dtype=bool)
-        seen[code] = True
+        pairs, idx = np.unique(xi * len(ys) + yi, return_inverse=True)
         outs = []
-        for c in np.flatnonzero(seen).tolist():
+        for c in pairs.tolist():
             try:
                 outs.append(fn(xs[c // len(ys)], ys[c % len(ys)]))
             except Exception as exc:  # raised again by the recheck
                 outs.append(exc)
-        return (np.cumsum(seen) - 1)[code], outs
+        return idx, outs
+
+    def acted(neg: tuple, pos: tuple, ni: np.ndarray, pi: np.ndarray):
+        """The action on the rows (ni-th map of type neg, pi-th of type pos), a
+        type being (dom, cod): each row's index into the results, and their
+        (tables, dom, cod), or None unless they are maps of one type."""
+        (negs, tn, _), (poss, tp, _) = maps_between(*neg), maps_between(*pos)
+        if action is not None:
+            idx, outs = batch(act, negs, poss, ni, pi)
+            types = {(m.dom, m.cod) if isinstance(m, MonotoneMap) else None for m in outs}
+            one_type = len(types) == 1 and None not in types
+            return idx, (np.array([m.arr for m in outs]), *types.pop()) if one_type else None
+        pairs, idx = np.unique(ni * len(poss) + pi, return_inverse=True)
+        try:
+            out = eval_maps(f, MapRows(*neg, tn[pairs // len(poss)]),
+                            MapRows(*pos, tp[pairs % len(poss)]), caps)
+        except Exception:  # raised again by the recheck
+            return idx, None
+        return idx, (np.broadcast_to(out.arr, (pairs.size, out.dom.n)), out.dom, out.cod)
 
     def name(p: FinPoset) -> str:
         return p.label or f"poset{p.n}"
@@ -669,11 +680,9 @@ def check_functor_laws(
         n1, n2, p1, p2 = (maps_between(*q)[0] for q in ((b, a), (c, b), (a, b), (b, c)))
         shape = (len(n1), len(n2), len(p1), len(p2))
         i1, i2, j1, j2 = np.unravel_index(np.arange(min(room, np.prod(shape))), shape)
-        li, lhs = batch(act, maps_between(c, a)[0], maps_between(a, c)[0],
-                        composite(c, b, a, i1, i2), composite(a, b, c, j2, j1))
-        ai, first = batch(act, n1, p1, i1, j1)
-        bi, second = batch(act, n2, p2, i2, j2)
-        tl, ta, tb = _tables(lhs), _tables(first), _tables(second)
+        li, tl = acted((c, a), (a, c), composite(c, b, a, i1, i2), composite(a, b, c, j2, j1))
+        ai, ta = acted((b, a), (a, b), i1, j1)
+        bi, tb = acted((c, b), (b, c), i2, j2)
         flagged = np.ones(i1.size, dtype=bool)
         if tl and ta and tb and ta[2] == tb[1] and tl[1:] == (ta[1], tb[2]):
             flagged = (tl[0][li] != tb[0][bi[:, None], ta[0][ai]]).any(axis=1)
@@ -694,8 +703,7 @@ def check_functor_laws(
         le_n, le_p = (p.leq[t[:, None], t[None, :]].all(axis=2) for p, t in ((a, tn), (b, tp)))
         inst = le_n[:, :, None, None] & le_p[None, None]
         n1, n2, p1, p2 = np.argwhere(inst)[:room].T
-        idx, outs = batch(act, negs, poss, np.concatenate([n1, n2]), np.concatenate([p1, p2]))
-        t = _tables(outs)
+        idx, t = acted((b, a), (a, b), np.concatenate([n1, n2]), np.concatenate([p1, p2]))
         flagged = np.ones(n1.size, dtype=bool)
         if t:
             flagged = ~t[2].leq[t[0][idx[: n1.size]], t[0][idx[n1.size :]]].all(axis=1)
@@ -712,14 +720,13 @@ def check_functor_laws(
         return int(np.count_nonzero(inst))
 
     def relational(xp, x, y, yp, room):
-        inst = morphisms(xp, x)[:, None, :, :, None, None] & morphisms(y, yp)[None, :, None, None]
+        inst = _morphisms(xp, x)[:, None, :, :, None, None] & _morphisms(y, yp)[None, :, None, None]
         u, v, rp, r, s, sp = np.argwhere(inst)[:room].T
         us, vs = maps_between(xp, x)[0], maps_between(y, yp)[0]
         rps, rs, ss, sps = law_rels(xp), law_rels(x), law_rels(y), law_rels(yp)
-        mi, ms = batch(act, us, vs, u, v)
+        mi, t = acted((xp, x), (y, yp), u, v)
         bi, bigs = batch(rel_act, rs, ss, r, s)
         si, smalls = batch(rel_act, rps, sps, rp, sp)
-        t = _tables(ms)
         flagged = np.ones(u.size, dtype=bool)
         carriers = [{getattr(q, "carrier", None) for q in qs} for qs in (bigs, smalls)]
         if t and carriers == [{t[1]}, {t[2]}]:

@@ -25,7 +25,7 @@ from .errors import (
     SizeCapExceeded,
     TypeMismatch,
 )
-from .functor import FunctorExpr, eval_map, eval_obj, is_covariant, to_src
+from .functor import FunctorExpr, MapRows, eval_map, eval_maps, eval_obj, is_covariant, to_src
 from .poset import (
     FinPoset,
     MonotoneMap,
@@ -46,10 +46,12 @@ __all__ = [
     "split_idempotent",
     "splitting_iso",
     "karoubi_hom_check",
+    "karoubi_hom_tables",
     "karoubi_homs",
     "karoubi_bottom_hom",
     "hat_functor_obj",
     "hat_functor_mor",
+    "hat_action",
     "ed_cpo_check",
     "ed_slice_equivalence",
     "karoubi_rel_fiber",
@@ -221,6 +223,11 @@ def splitting_iso(s1: Splitting, s2: Splitting, verify_unique: bool | None = Non
     return i, i_inv
 
 
+def _envelope(t: np.ndarray, a: KaroubiObj, b: KaroubiObj) -> np.ndarray:
+    """Which rows of the table array t are envelope morphisms a -> b: fp = f = qf."""
+    return (t[:, a.p.mor.arr] == t).all(axis=1) & (b.p.mor.arr[t] == t).all(axis=1)
+
+
 def karoubi_hom_check(f: MonotoneMap, a: KaroubiObj, b: KaroubiObj) -> bool:
     """Whether f is an envelope morphism (X,p) -> (Y,q): fp = f = qf."""
     if f.dom != a.X or f.cod != b.X:
@@ -228,11 +235,15 @@ def karoubi_hom_check(f: MonotoneMap, a: KaroubiObj, b: KaroubiObj) -> bool:
     return f @ a.p.mor == f and b.p.mor @ f == f
 
 
-def karoubi_homs(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> list:
-    """All envelope morphisms a -> b: the cached table rows f with fp = f = qf."""
+def karoubi_hom_tables(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+    """The tables of all envelope morphisms a -> b, as cached table rows."""
     t = monotone_tables(a.X, b.X, caps.max_pairs)
-    keep = (t[:, a.p.mor.arr] == t).all(axis=1) & (b.p.mor.arr[t] == t).all(axis=1)
-    return [MonotoneMap(a.X, b.X, row) for row in t[keep]]
+    return t[_envelope(t, a, b)]
+
+
+def karoubi_homs(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> list:
+    """All envelope morphisms a -> b, as maps."""
+    return [MonotoneMap(a.X, b.X, row) for row in karoubi_hom_tables(a, b, caps)]
 
 
 def karoubi_bottom_hom(a: KaroubiObj, b: KaroubiObj) -> MonotoneMap:
@@ -247,20 +258,25 @@ def hat_functor_obj(
     return _hat_split(f, a, caps).im
 
 
-def hat_functor_mor(
-    f: FunctorExpr,
-    g: MonotoneMap,
-    a: KaroubiObj,
-    b: KaroubiObj,
-    caps: Caps = DEFAULT_CAPS,
-) -> MonotoneMap:
-    """Morphism part: im(Fp) --s--> FX --Fg--> FY --r--> im(Fq)."""
-    if not karoubi_hom_check(g, a, b):
-        raise TypeMismatch("not an envelope morphism", table=g.table)
-    sp = _hat_split(f, a, caps)
-    sq = _hat_split(f, b, caps)
-    fg = eval_map(f, None, g, caps)
-    return sq.r @ fg @ sp.s
+def hat_functor_mor(f: FunctorExpr, g: MonotoneMap, a: KaroubiObj, b: KaroubiObj,
+                    caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
+    """Morphism part: hat_action on the one row of g."""
+    if g.dom != a.X or g.cod != b.X:
+        raise TypeMismatch("map does not go between the carriers")
+    row = hat_action(f, g.arr[None], a, b, caps)[0]
+    return MonotoneMap(_hat_split(f, a, caps).im, _hat_split(f, b, caps).im, row)
+
+
+def hat_action(f: FunctorExpr, rows: np.ndarray, a: KaroubiObj, b: KaroubiObj,
+               caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+    """The morphism part on each row of an array of envelope-morphism tables
+    a -> b, with every Fg from one eval_maps call: im(Fp) --s--> FX --Fg-->
+    FY --r--> im(Fq).  A row that is no envelope morphism raises TypeMismatch."""
+    if not (ok := _envelope(rows, a, b)).all():
+        raise TypeMismatch("not an envelope morphism", table=tuple(rows[ok.argmin()].tolist()))
+    sp, sq = _hat_split(f, a, caps), _hat_split(f, b, caps)
+    fg = eval_maps(f, None, MapRows(a.X, b.X, rows), caps).arr
+    return sq.r.arr[np.broadcast_to(fg, (len(rows), fg.shape[1]))[:, sp.s.arr]]
 
 
 @lru_cache(maxsize=None)

@@ -194,14 +194,17 @@ def validate_poset(
     le_pairs: Iterable[tuple[int, int]],
     bottom: int,
     label: str | None = None,
+    caps: Caps = DEFAULT_CAPS,
 ) -> FinPoset:
     """Build a poset from generating pairs, closing under transitivity.
 
-    Raises NotAPartialOrder (with the offending pair) on cycles and
-    NoLeastElement if ``bottom`` is not below every element.
+    Raises SizeCapExceeded before allocating, NotAPartialOrder (with the
+    offending pair) on cycles and NoLeastElement if ``bottom`` is not below
+    every element.
     """
     if n <= 0:
         raise NotAPartialOrder("a poset needs at least one element", size=n)
+    _check_size(n, caps, "poset")
     leq = np.eye(n, dtype=bool)
     for i, j in le_pairs:
         if not (0 <= i < n and 0 <= j < n):
@@ -225,9 +228,10 @@ def one(label: str = "one") -> FinPoset:
     return FinPoset(np.ones((1, 1), dtype=bool), 0, (0,), label)
 
 
-def chain_poset(n: int, label: str | None = None) -> FinPoset:
+def chain_poset(n: int, label: str | None = None, caps: Caps = DEFAULT_CAPS) -> FinPoset:
     if n <= 0:
         raise NotAPartialOrder("a chain needs at least one element", size=n)
+    _check_size(n, caps, "chain")
     leq = np.triu(np.ones((n, n), dtype=bool))
     return FinPoset(leq, 0, tuple(range(n)), label or f"chain({n})")
 

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -94,7 +95,9 @@ def test_relate_is_byte_deterministic(tmp_path):
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("name", ["lazy_nat", "streams", "reflexive"])
+# fun_nondiag, lift(fun(const(chain(2), pairs [(0,0),(0,1)]), D)) at depth
+# 3, is the one bundled spec whose answer is not the diagonal
+@pytest.mark.parametrize("name", ["lazy_nat", "streams", "reflexive", "fun_nondiag"])
 def test_golden_relate_reports_are_stable(name, tmp_path):
     path = tmp_path / "report.json"
     proc = run_cli(
@@ -179,6 +182,31 @@ def test_karoubi_over_the_order_matrix_cap_exits_3_with_the_candidate_count():
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "candidates=4096" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("karoubi", "chain(99999999999)"),
+        ("karoubi", "poset { elems 99999999999; le; bot 0 }"),
+        ("spec", "domain D = lift(prod(const(chain(99999999999), diag), D))\ndepth 2\n"),
+    ],
+    ids=["chain", "poset", "spec_const"],
+)
+def test_an_oversized_poset_literal_exits_3_before_allocating(kind, text, tmp_path):
+    if kind == "spec":
+        spec = tmp_path / "big.spec"
+        spec.write_text(text)
+        args = ("relate", "--spec", str(spec))
+    else:
+        args = ("karoubi", "--poset", text)
+    t0 = time.monotonic()
+    proc = run_cli(*args, timeout=5)
+    assert time.monotonic() - t0 < 1.0
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("relfix: ") and len(proc.stderr.splitlines()) == 1
+    assert "size=99999999999" in proc.stderr and "cap=200000" in proc.stderr
 
 
 def test_karoubi_chain10_completes_within_its_budget():

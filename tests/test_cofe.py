@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from relfix import cofe
 from relfix.chain import (
     build_chain,
     diagonal_family,
@@ -23,17 +25,20 @@ from relfix.cofe import (
     ofe_distance,
     prefix_equal,
     sample_uniform_masks,
+    uniform_mask_blocks,
     uniform_space_size,
 )
 from relfix.engines import psi_step, solve_kleene
 from relfix.errors import NotCauchy, TypeMismatch
-from relfix.functor import Lift, Var
+from relfix.functor import Fun, Lift, One, SumSep, Var
 from relfix.relations import (
     BinRel,
     bottom_rel,
     diagonal,
     intersect,
     inverse_image,
+    pair_table,
+    rows_to_masks,
     total_rel,
 )
 from relfix.suites import canonical_specs
@@ -263,3 +268,36 @@ def test_custom_operator_check_matches_the_definitional_oracle(name, depth, op):
         assert not found and enumerated == report["space_size"]
     if op is _mix_top:
         assert found and all(c["n"] == chain.depth for c in found)
+
+
+@pytest.mark.parametrize(
+    "functor, depth, strategy, enumerated",
+    [
+        (SumSep(One(), Var()), 3, "sections", 1_285_000),
+        (Lift(Fun(Var(), Var())), 2, "full", 6_425),
+    ],
+    ids=["lazy_nat_d3", "fun_space_d2"],
+)
+def test_the_step_chain_pass_asks_what_the_direct_pulls_give(
+    functor, depth, strategy, enumerated, monkeypatch
+):
+    # psi's levelwise check pulls each block down the steps one level at a
+    # time; the questions it asks eval_rel must be those of pulling each
+    # block along every e_{m -> level} directly: each new (level, mask)
+    # once, a block's levels ascending, a level's masks by their bytes
+    chain = build_chain(functor, depth)
+    asked = []
+    monkeypatch.setattr(cofe, "eval_rel", lambda f, r, s, caps: asked.append((r, s)))
+    report = check_contractive(chain)
+    assert (report["strategy"], report["enumerated"], report["ok"]) == (strategy, enumerated, True)
+    level = depth - 1 if strategy == "sections" else depth
+    want, seen = [], set()
+    for block in uniform_mask_blocks(chain, level):
+        for m in range(level):
+            pulled = pair_table(chain.ep(m, level).e).pull_rows(block)
+            for mask in rows_to_masks(np.unique(pulled, axis=0)):
+                if (m, mask) not in seen:
+                    seen.add((m, mask))
+                    rel = BinRel(chain.levels[m], mask)
+                    want.append((rel, rel))
+    assert asked == want

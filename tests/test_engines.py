@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +23,9 @@ from relfix.engines import (
     solve_kleene,
     solve_knaster_tarski,
 )
-from relfix.functor import Const, Lift, Prod, Var
-from relfix.poset import chain_poset, lift, one, product
+from relfix.dsl import parse_spec
+from relfix.functor import Const, Fun, Lift, Prod, Var
+from relfix.poset import chain_poset, hom_poset, lift, one, product
 from relfix.relations import BinRel, bottom_index, rel_from_pairs, total_rel
 from relfix.suites import canonical_specs
 
@@ -196,6 +198,40 @@ def test_a_nonsymmetric_relation_on_a_wide_carrier_solves_to_its_definition():
     report = compare_methods(ch)
     assert report["agreement"] and report["uniform"]
     assert report["glued"] == sorted(want[4])
+
+
+def test_a_mixed_variance_relation_solves_to_its_definition():
+    # the bundled fun_nondiag spec, lift(fun(const(chain(2), C), D)) with
+    # C = {(0, 0), (0, 1)}: level m + 1 relates the bottom to itself and
+    # up f to up g exactly when (f a, g b) is in level m for every (a, b) in
+    # C.  The oracle reads the maps off the descriptors of freshly built
+    # levels and glues along the chain's projections, without the
+    # relational action.
+    spec = parse_spec((Path(__file__).parent / "specs" / "fun_nondiag.spec").read_text())
+    c2, pairs = chain_poset(2), [(0, 0), (0, 1)]
+    assert spec.functor == Lift(Fun(Const(c2, rel_from_pairs(c2, pairs)), Var()))
+    ch = build_chain(spec.functor, spec.depth)
+    x, want = one(), [{(0, 0)}]
+    for m in range(1, spec.depth + 1):
+        x = lift(hom_poset(c2, x))
+        assert x == ch.levels[m]
+        ups = [(i, d[1]) for i, d in enumerate(x.elems) if d != "bot"]
+        want.append({(x.bottom, x.bottom)} | {
+            (i, j) for i, f in ups for j, g in ups
+            if all((f[a], g[b]) in want[m - 1] for a, b in pairs)
+        })
+    got = solve_kleene(ch)
+    assert [got[m].pairs for m in range(spec.depth + 1)] == want
+    projections = [pair.p.arr.tolist() for pair in ch.cums]
+    glued = {
+        (u, v) for u in range(ch.top.n) for v in range(ch.top.n)
+        if all((p[u], p[v]) in level for p, level in zip(projections, want))
+    }
+    assert len(glued) == 11 and any((v, u) not in glued for u, v in glued)
+    assert glue_family(ch, got).pairs == glued
+    report = compare_methods(ch)
+    assert report["agreement"] and report["uniform"]
+    assert report["glued"] == sorted(glued)
 
 
 def test_compare_methods_report_shape(solved):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from relfix.poset import (
     hom_poset,
     identity_map,
     lift,
+    monotone_tables,
     one,
     product,
     small_pointed_posets,
@@ -646,3 +648,65 @@ def test_each_law_fails_like_the_per_instance_oracle(f, action, budget, law):
     assert got == want
     if law is not None:
         assert want[0] == "LawViolation" and want[2]["law"] == law
+
+
+def test_law_morphisms_are_is_rel_morphism_on_the_corpus():
+    # the checker's array form against the scalar check, on every monotone
+    # map and every pair of law relations of every ordered corpus pair
+    for x, y in itertools.product(small_pointed_posets(), repeat=2):
+        rs, ss = functor._law_rels(x), functor._law_rels(y)
+        want = [[[is_rel_morphism(MonotoneMap(x, y, t), r, s) for s in ss] for r in rs]
+                for t in monotone_tables(x, y)]
+        assert functor._morphisms(x, y).tolist() == want
+
+
+@pytest.mark.parametrize("f", [LAZY, STREAM, REFLEX], ids=["lazy_nat", "streams", "reflexive"])
+def test_the_law_checker_acts_once_per_block_and_argument_type(f, monkeypatch):
+    # the default action makes one top-level eval_maps call per law block
+    # and argument type: one in an identity, monotonicity or relational
+    # block, three in a composition block; the blocks are the tuples run()
+    # draws from itertools.product
+    blocks = {}
+
+    def product(posets, repeat):
+        for ps in itertools.product(posets, repeat=repeat):
+            blocks[repeat] = blocks.get(repeat, 0) + 1
+            yield ps
+
+    calls, depth = [], [0]
+    inner = functor.eval_maps
+
+    def counted(*args):
+        calls.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(functor, "itertools", SimpleNamespace(product=product))
+    monkeypatch.setattr(functor, "eval_maps", counted)
+    report = check_functor_laws(f, budget=4000)
+    assert report["ok"] and blocks[3] and blocks[4]
+    # blocks[2] counts the identity and the monotonicity blocks together
+    assert sum(calls) <= blocks[2] + 3 * blocks[3] + blocks[4]
+
+
+@pytest.mark.parametrize(
+    "f, action",
+    [(LAZY, eval_map), (STREAM, eval_map), (REFLEX, eval_map), (Fun(Var(), Var()), _broken_action)],
+    ids=["lazy_nat", "streams", "reflexive", "corrupted"],
+)
+def test_a_custom_action_runs_once_per_distinct_pair(f, action):
+    calls = []
+
+    def recording(g, neg, pos, caps=DEFAULT_CAPS):
+        calls.append((neg, pos))
+        return action(g, neg, pos, caps)
+
+    got = _outcome(check_functor_laws, f, budget=4000, action=recording)
+    assert calls and len(calls) == len(set(calls))
+    if action is eval_map:  # the same reports as the default action's
+        assert got == check_functor_laws(f, budget=4000)
+    else:
+        assert got[0] == "LawViolation"

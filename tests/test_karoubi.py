@@ -15,7 +15,7 @@ from relfix.errors import (
     SizeCapExceeded,
     TypeMismatch,
 )
-from relfix.functor import Fun, Lift, Var
+from relfix.functor import Fun, Lift, One, Prod, SumSep, Var, eval_map, eval_obj
 from relfix.karoubi import (
     Idempotent,
     KaroubiObj,
@@ -25,11 +25,13 @@ from relfix.karoubi import (
     ed_cpo_check,
     ed_slice_equivalence,
     enumerate_canonical_idempotents,
+    hat_action,
     hat_functor_mor,
     hat_functor_obj,
     idem_leq,
     karoubi_bottom_hom,
     karoubi_hom_check,
+    karoubi_hom_tables,
     karoubi_homs,
     karoubi_rel_fiber,
     split_idempotent,
@@ -270,6 +272,39 @@ def test_hat_functor_preserves_composition():
             lhs = hat_functor_mor(f, g @ h, b, b)
             rhs = hat_functor_mor(f, g, a, b) @ hat_functor_mor(f, h, b, a)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("f", [Lift(Var()), Prod(SumSep(One(), Var()), Var())], ids=str)
+def test_batch_hat_action_is_the_scalar_composite_row_by_row(f):
+    # every envelope morphism of every ordered pair of the 20 Karoubi
+    # objects over the corpus, against sq.r . F(g) . sp.s with the
+    # splittings of F(p) and F(q) built here
+    objs = [KaroubiObj(d, p) for d in small_pointed_posets() for p in _all_idempotents(d)]
+    assert len(objs) == 20
+    splits = {
+        a: split_idempotent(Idempotent(eval_obj(f, a.X, a.X), eval_map(f, None, a.p.mor)))
+        for a in objs
+    }
+    rejected = 0
+    for a, b in itertools.product(objs, repeat=2):
+        rows = karoubi_hom_tables(a, b)
+        sp, sq = splits[a], splits[b]
+        want = [(sq.r @ eval_map(f, None, MonotoneMap(a.X, b.X, g)) @ sp.s).arr.tolist()
+                for g in rows]
+        assert hat_action(f, rows, a, b).tolist() == want
+        assert [hat_functor_mor(f, MonotoneMap(a.X, b.X, g), a, b).arr.tolist()
+                for g in rows] == want
+        # a row that is not an envelope morphism fails the batch, as it
+        # fails the one-map form
+        for g in monotone_tables(a.X, b.X):
+            if not karoubi_hom_check(MonotoneMap(a.X, b.X, g), a, b):
+                with pytest.raises(TypeMismatch):
+                    hat_action(f, np.vstack([rows, g]), a, b)
+                with pytest.raises(TypeMismatch):
+                    hat_functor_mor(f, MonotoneMap(a.X, b.X, g), a, b)
+                rejected += 1
+                break
+    assert rejected > 200
 
 
 def test_hat_functor_rejects_mixed_variance():
