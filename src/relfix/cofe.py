@@ -16,12 +16,18 @@ characterization alone.
 
 The contractiveness check is exhaustive whenever the space of uniform
 families fits the budget.  When only the quotient by the top level fits,
-it enumerates sections: every uniform family on the depth-(N-1) prefix,
-standing for every family with that prefix.  Sections decide the pair implication
-exactly, because n ranges over 0..N and two uniform families with equal
-levels below N fall in the same class for every such n, while the default
-operator reads only input levels below N (engines._psi), so its outputs
-are functions of the shared prefix.
+it decides sections: every uniform family on the depth-(N-1) prefix,
+standing for every family with that prefix.  Sections decide the pair
+implication exactly, because n ranges over 0..N and two uniform families
+with equal levels below N fall in the same class for every such n, while
+the default operator reads only input levels below N (engines._psi), so
+its outputs are functions of the shared prefix.
+
+For the default operator the check asks eval_rel its questions level by
+level, without enumerating the space it decides: restricting the uniform
+relations on X_L along e_{m -> L} gives exactly the uniform relations on
+X_m (e*R is uniform, and every uniform S is e*(p*S) with p*S uniform), so
+the questions are those of the uniform relations on each X_m below L.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .chain import (
     DomainChain,
     RelFamily,
@@ -43,6 +47,7 @@ from .chain import (
     glue_family,
     is_uniform_family,
 )
+from .engines import psi_step
 from .errors import (
     CharacterizationMismatch,
     InternalInvariantViolation,
@@ -56,9 +61,7 @@ from .relations import (
     intersect,
     inverse_image,
     is_rel_morphism,
-    masks_to_rows,
     pair_table,
-    rows_to_masks,
 )
 
 __all__ = [
@@ -70,7 +73,6 @@ __all__ = [
     "validate_cauchy",
     "cofe_limit",
     "uniform_space_size",
-    "uniform_mask_blocks",
     "enumerate_uniform_masks",
     "sample_uniform_masks",
     "check_contractive",
@@ -277,57 +279,15 @@ def _tree_masks(children: dict, node: int) -> list:
     return [0] + sub
 
 
-# Rows per block of packed masks in uniform_mask_blocks and
-# check_contractive.  Measured with Python 3.11 and numpy 2.4 on a 2-vCPU
-# VM, the contractive check of lazy_nat depth 3 (1,285,000 section masks)
-# takes 1.7 s with 512-row blocks (which hold only 257 rows there, since
-# the inner trees must fit), 0.43 s with 4,096 and 0.38 s with 32,768,
-# while its peak RSS grows by 0.8 MB and 5.3 MB with the last two.
-BLOCK_ROWS = 4096
-
-
-def uniform_mask_blocks(chain: DomainChain, level: int | None = None):
-    """Yield every uniform relation on X_level as packed mask rows (see
-    relations.masks_to_rows), at most BLOCK_ROWS rows a block.
-
-    The order is that of itertools.product over the trees below the root.
-    The trailing trees whose product fits a block are expanded once into
-    an inner block; each yielded block ORs it with the next run of outer
-    combinations, which itertools.product supplies.
-    """
+def enumerate_uniform_masks(chain: DomainChain, level: int | None = None):
+    """Yield every uniform relation on X_level as its pair mask, in the
+    order of itertools.product over the trees below the root; the root bit
+    (bottom pair) is always set."""
     level = chain.depth if level is None else level
-    width = chain.levels[level].n ** 2
     children, root = _forest(chain, level)
     per_tree = [_tree_masks(children, c) for c in children[root]]
-    split, inner_size = len(per_tree), 1
-    while split and inner_size * len(per_tree[split - 1]) <= BLOCK_ROWS:
-        split -= 1
-        inner_size *= len(per_tree[split])
-    inner = masks_to_rows(
-        (_union(combo) | 1 << root for combo in itertools.product(*per_tree[split:])),
-        width,
-    )
-    outer = map(_union, itertools.product(*per_tree[:split]))
-    for chunk in _chunks(outer, BLOCK_ROWS // inner_size):
-        rows = masks_to_rows(chunk, width)
-        yield (rows[:, None, :] | inner[None, :, :]).reshape(-1, inner.shape[1])
-
-
-def _union(masks) -> int:
-    return functools.reduce(operator.or_, masks, 0)
-
-
-def _chunks(items, size: int):
-    """Consecutive lists of up to size items."""
-    while chunk := list(itertools.islice(items, size)):
-        yield chunk
-
-
-def enumerate_uniform_masks(chain: DomainChain, level: int | None = None):
-    """Yield every uniform relation on X_level as its pair mask; the
-    root bit (bottom pair) is always set."""
-    for block in uniform_mask_blocks(chain, level):
-        yield from rows_to_masks(block)
+    for combo in itertools.product(*per_tree):
+        yield functools.reduce(operator.or_, combo, 1 << root)
 
 
 def sample_uniform_masks(
@@ -360,30 +320,6 @@ def sample_uniform_masks(
 # ---------------------------------------------------------------------------
 
 
-def _combined_ids(columns: list, size: int) -> np.ndarray:
-    """One id per row for the tuple of its column values, equal exactly
-    when the tuples are equal (mixed radix, renumbered before it
-    overflows).  The columns hold nonnegative integers."""
-    acc = np.zeros(size, dtype=np.int64)
-    bound = 1
-    for ids in columns:
-        radix = int(ids.max()) + 1
-        if bound * radix >= 1 << 62:
-            acc = np.unique(acc, return_inverse=True)[1].ravel().astype(np.int64)
-            bound = int(acc.max()) + 1
-        acc = acc * radix + ids
-        bound *= radix
-    return acc
-
-
-def _distinct_masks(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a batch of packed masks.  Sorting the combined
-    ids is much cheaper than np.unique(rows, axis=0), which sorts a void
-    view of the rows."""
-    ids = _combined_ids([rows[:, j] for j in range(rows.shape[1])], len(rows))
-    return rows[np.unique(ids, return_index=True)[1]]
-
-
 def check_contractive(
     chain: DomainChain,
     op=None,
@@ -398,32 +334,33 @@ def check_contractive(
     Report-valued (never raises on counterexamples).  Strategy:
 
     * full: the whole space of uniform relations on X_N fits full_budget;
-      every family is enumerated and op applied to each.
-    * sections: the space quotiented by the top level fits; every uniform
-      family on the depth-(N-1) prefix is enumerated.  Requires the default
-      op, and is exact for it: psi reads only input levels below N, so its
-      outputs are functions of the prefix (a property the tests pin).
+      it is decided exhaustively.
+    * sections: the space quotiented by the top level fits; the space
+      decided is that of the uniform families on the depth-(N-1) prefix.
+      Requires the default op, and is exact for it: psi reads only input
+      levels below N, so its outputs are functions of the prefix (a
+      property the tests pin).
     * sampled: seeded sampling of the full space.
 
-    The default operator psi cannot fail the implication, so its check
-    groups nothing.  psi's output level 0 is total on the one-point X_0
-    and its output level m+1 is eval_rel(F, R_m, R_m), so its output
-    levels up to n are a function of the input levels below n: families
-    that agree below n get outputs that agree up to n.  The check still
-    runs psi levelwise over the enumerated space: each block of packed
-    masks is pulled down the step chain to every level below the
-    enumeration level, deduplicated at each level before the next step,
-    and eval_rel (with its caps) runs once on each new (level, mask), the
-    levels ascending.  In full
-    mode those are all the levels psi reads, 0..N-1; on sections they are
-    0..N-2, and the section masks at level N-1 never meet eval_rel.
+    The default operator psi cannot fail the implication: its output
+    level 0 is total on the one-point X_0 and its output level m+1 is
+    eval_rel(F, R_m, R_m), so families that agree below n get outputs
+    that agree up to n.  On full and sections the check therefore
+    enumerates nothing at the level L of the space decided (N or N-1).
+    It asks eval_rel (with its caps) once about each uniform relation on
+    X_m for m = 0..L-1, which are the space's questions: restricting a
+    uniform R on X_L along e = e_{m -> L} gives a uniform e*R, and every
+    uniform S on X_m is e*(p*S) with p*S uniform, since p.e is the
+    identity.  In full mode those are all the levels psi reads, 0..N-1;
+    on sections they are 0..N-2.  enumerated is the size of the space
+    decided.
 
-    A custom op runs once per family, in enumeration order.  For each n,
-    the first family with given input levels below n is the witness of
-    that key, and each later family with the same key whose output levels
-    up to n differ from the witness's is a counterexample.  The check
-    stops after the family that brings the count of counterexamples to
-    five.
+    Every other case, custom ops and the sampled default (op psi_step),
+    runs op once per family, in enumeration order.  For each n, the first
+    family with given input levels below n is the witness of that key,
+    and each later family with the same key whose output levels up to n
+    differ from the witness's is a counterexample.  The check stops after
+    the family that brings the count of counterexamples to five.
     """
     depth = chain.depth
     space = uniform_space_size(chain)
@@ -448,55 +385,45 @@ def check_contractive(
         strategy, level = "sampled", depth
         report["seed"] = seed
     report["strategy"] = strategy
-    if strategy == "sampled":
-        sampled = sample_uniform_masks(chain, samples, seed, depth)
-        width = chain.levels[depth].n ** 2
-        blocks = (masks_to_rows(c, width) for c in _chunks(sampled, BLOCK_ROWS))
-    else:
-        blocks = uniform_mask_blocks(chain, level)
 
+    if op is None and strategy != "sampled":
+        for m in range(level):
+            for mask in enumerate_uniform_masks(chain, m):
+                rel = BinRel(chain.levels[m], mask)
+                eval_rel(chain.functor, rel, rel, chain.caps)
+        report["enumerated"] = report.get("section_space", space)
+        return report
+
+    op = psi_step if op is None else op
+    if strategy == "sampled":
+        masks = sample_uniform_masks(chain, samples, seed, depth)
+    else:
+        masks = enumerate_uniform_masks(chain, depth)
     enumerated = 0
     conflicts = report["counterexamples"]
-    if op is None:
-        # the input levels are those below the enumeration level; in
-        # section mode the top compared n is N-1, so they stop at N-2
-        done: set = set()
-        for block in blocks:
-            below = [block]  # pulling along e_{m -> level} is one step at a time
-            for step in reversed(chain.steps[:level]):
-                below.append(_distinct_masks(pair_table(step.e).pull_rows(below[-1])))
-            for m, rows in enumerate(reversed(below[1:])):
-                for mask in rows_to_masks(rows):
-                    if (m, mask) not in done:
-                        done.add((m, mask))
-                        rel = BinRel(chain.levels[m], mask)
-                        eval_rel(chain.functor, rel, rel, chain.caps)
-            enumerated += len(block)
-    else:
-        groups: list = [dict() for _ in range(depth + 1)]
-        for mask in itertools.chain.from_iterable(map(rows_to_masks, blocks)):
-            enumerated += 1
-            fam = family_from_limit(chain, BinRel(chain.top, mask))
-            out = op(chain, fam)
-            ins = tuple(fam[m].mask for m in range(depth))
-            outs = tuple(out[m].mask for m in range(depth + 1))
-            for n, group in enumerate(groups):
-                want, witness = group.setdefault(ins[:n], (outs[: n + 1], mask))
-                if want != outs[: n + 1]:
-                    conflicts.append(
-                        {
-                            "n": n,
-                            "output_level": next(
-                                m for m in range(n + 1) if want[m] != outs[m]
-                            ),
-                            "mask_a": witness,
-                            "mask_b": mask,
-                        }
-                    )
-            if len(conflicts) >= 5:
-                report["stopped_early"] = True
-                break
-        report["ok"] = not conflicts
+    groups: list = [dict() for _ in range(depth + 1)]
+    for mask in masks:
+        enumerated += 1
+        fam = family_from_limit(chain, BinRel(chain.top, mask))
+        out = op(chain, fam)
+        ins = tuple(fam[m].mask for m in range(depth))
+        outs = tuple(out[m].mask for m in range(depth + 1))
+        for n, group in enumerate(groups):
+            want, witness = group.setdefault(ins[:n], (outs[: n + 1], mask))
+            if want != outs[: n + 1]:
+                conflicts.append(
+                    {
+                        "n": n,
+                        "output_level": next(
+                            m for m in range(n + 1) if want[m] != outs[m]
+                        ),
+                        "mask_a": witness,
+                        "mask_b": mask,
+                    }
+                )
+        if len(conflicts) >= 5:
+            report["stopped_early"] = True
+            break
+    report["ok"] = not conflicts
     report["enumerated"] = enumerated
-
     return report

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from relfix import cofe
@@ -25,7 +25,6 @@ from relfix.cofe import (
     ofe_distance,
     prefix_equal,
     sample_uniform_masks,
-    uniform_mask_blocks,
     uniform_space_size,
 )
 from relfix.engines import psi_step, solve_kleene
@@ -37,6 +36,7 @@ from relfix.relations import (
     diagonal,
     intersect,
     inverse_image,
+    masks_to_rows,
     pair_table,
     rows_to_masks,
     total_rel,
@@ -183,8 +183,22 @@ def test_check_contractive_sampled_strategy():
         ch, full_budget=10, section_budget=10, samples=200, seed=3
     )
     assert report["strategy"] == "sampled"
+    assert report["op"] == "psi"
     assert report["ok"] is True
     assert report["seed"] == 3
+    assert report["enumerated"] == 200
+    assert report["counterexamples"] == []
+
+
+def test_check_contractive_sampled_strategy_catches_the_identity_operator():
+    # the sampled loop can fail: the identity does not improve n-equality
+    ch = small_lazy(2)
+    report = check_contractive(
+        ch, op=lambda c, fam: fam, full_budget=10, section_budget=10, samples=200, seed=3
+    )
+    assert (report["strategy"], report["op"], report["ok"]) == ("sampled", "custom", False)
+    assert len(report["counterexamples"]) == 5
+    assert report["enumerated"] == 6 and report["stopped_early"] is True
 
 
 @pytest.mark.parametrize(
@@ -271,33 +285,34 @@ def test_custom_operator_check_matches_the_definitional_oracle(name, depth, op):
 
 
 @pytest.mark.parametrize(
-    "functor, depth, strategy, enumerated",
+    "functor, depth, strategy, enumerated, questions",
     [
-        (SumSep(One(), Var()), 3, "sections", 1_285_000),
-        (Lift(Fun(Var(), Var())), 2, "full", 6_425),
+        (SumSep(One(), Var()), 3, "sections", 1_285_000, 257),
+        (Lift(Fun(Var(), Var())), 2, "full", 6_425, 9),
+        (Lift(Var()), 4, "full", 32_825, 1_402),
+        (Lift(Fun(Var(), Var())), 3, "sections", 6_425, 9),
     ],
-    ids=["lazy_nat_d3", "fun_space_d2"],
+    ids=["lazy_nat_d3", "fun_space_d2", "lift_d4", "fun_space_d3"],
 )
-def test_the_step_chain_pass_asks_what_the_direct_pulls_give(
-    functor, depth, strategy, enumerated, monkeypatch
+def test_psi_asks_once_each_question_the_direct_pulls_give(
+    functor, depth, strategy, enumerated, questions, monkeypatch
 ):
-    # psi's levelwise check pulls each block down the steps one level at a
-    # time; the questions it asks eval_rel must be those of pulling each
-    # block along every e_{m -> level} directly: each new (level, mask)
-    # once, a block's levels ascending, a level's masks by their bytes
+    # psi's check asks eval_rel about the uniform relations on each level
+    # below the enumeration level L; the oracle pulls every uniform
+    # relation on X_L along each e_{m -> L} directly.  The answers are
+    # discarded, so only the question set is pinned, each asked once.
     chain = build_chain(functor, depth)
     asked = []
     monkeypatch.setattr(cofe, "eval_rel", lambda f, r, s, caps: asked.append((r, s)))
     report = check_contractive(chain)
     assert (report["strategy"], report["enumerated"], report["ok"]) == (strategy, enumerated, True)
     level = depth - 1 if strategy == "sections" else depth
-    want, seen = [], set()
-    for block in uniform_mask_blocks(chain, level):
-        for m in range(level):
-            pulled = pair_table(chain.ep(m, level).e).pull_rows(block)
-            for mask in rows_to_masks(np.unique(pulled, axis=0)):
-                if (m, mask) not in seen:
-                    seen.add((m, mask))
-                    rel = BinRel(chain.levels[m], mask)
-                    want.append((rel, rel))
-    assert asked == want
+    rows = masks_to_rows(enumerate_uniform_masks(chain, level), chain.levels[level].n ** 2)
+    want = set()
+    for m in range(level):
+        pulled = pair_table(chain.ep(m, level).e).pull_rows(rows)
+        want.update(BinRel(chain.levels[m], mask) for mask in set(rows_to_masks(pulled)))
+    assert all(r == s for r, s in asked)
+    counts = Counter(r for r, _ in asked)
+    assert set(counts.values()) == {1}
+    assert set(counts) == want and len(want) == questions

@@ -2,7 +2,9 @@
 src/relfix whose name has one leading underscore is referenced somewhere in
 the package outside its own definition.  References from tests or from the
 benchmark do not count, since they do not make a helper part of the
-program."""
+program.  And no stale export: every name a module's __all__ lists is
+bound in that module, since nothing star-imports these modules and a
+deleted name would otherwise stay listed unnoticed."""
 
 from __future__ import annotations
 
@@ -25,6 +27,37 @@ def _referenced_names(node: ast.AST) -> list[str]:
         elif isinstance(sub, ast.Attribute):
             out.append(sub.attr)
     return out
+
+
+def _module_bindings(tree: ast.Module) -> tuple[set[str], list[str]]:
+    """(names bound at module level, the names __all__ lists)."""
+    bound: set[str] = set()
+    exported: list[str] = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, DEFS):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported = [ast.literal_eval(e) for e in node.value.elts]
+        else:
+            # module-level blocks (if, try, ...) bind names too
+            todo.extend(n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt))
+    return bound, exported
+
+
+def test_every_name_in_all_is_bound_in_its_module():
+    unbound = []
+    for path in sorted(SRC.glob("*.py")):
+        bound, exported = _module_bindings(ast.parse(path.read_text(encoding="utf-8")))
+        unbound += [f"{path.name} {name}" for name in exported if name not in bound]
+    assert unbound == []
 
 
 def test_every_private_helper_is_referenced_outside_its_definition():

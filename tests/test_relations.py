@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 
 from relfix.chain import build_chain
 from relfix.cofe import (
-    BLOCK_ROWS,
     _forest,
     _tree_masks,
     enumerate_uniform_masks,
-    uniform_mask_blocks,
     uniform_space_size,
 )
 from relfix.errors import InadmissibleRelation, TypeMismatch
@@ -335,7 +333,7 @@ def test_tables_that_are_not_runs_do_not_take_the_run_path(table):
 
 
 @pytest.mark.parametrize("depth", [2, 3])
-def test_mask_blocks_flatten_to_the_uniform_enumeration(depth):
+def test_uniform_masks_enumerate_the_tree_product(depth):
     # the oracle is the product over the trees below the root, taken one
     # mask at a time, which is how the space is defined
     chain = build_chain(SumSep(One(), Var()), depth)
@@ -346,16 +344,8 @@ def test_mask_blocks_flatten_to_the_uniform_enumeration(depth):
         functools.reduce(operator.or_, combo, 1 << root)
         for combo in itertools.product(*per_tree)
     )
-
-    def flat():
-        for block in uniform_mask_blocks(chain, level):
-            assert block.dtype == np.uint8 and 0 < len(block) <= BLOCK_ROWS
-            yield from rows_to_masks(block)
-
     count = 0
-    for got, enumerated, want in itertools.zip_longest(
-        flat(), enumerate_uniform_masks(chain, level), oracle
-    ):
-        assert got == enumerated == want
+    for got, want in itertools.zip_longest(enumerate_uniform_masks(chain, level), oracle):
+        assert got == want
         count += 1
     assert count == uniform_space_size(chain, level)
