@@ -8,8 +8,9 @@
 Shared flags: --seed S, --report FILE, --timings.  Exit codes: 0 ok,
 1 verification failure, 2 usage or parse trouble, 3 resource cap.
 Reports are canonical JSON (sorted keys, trailing newline) and contain
-no timing data; --timings prints wall times to stderr only, so reports
-stay byte-identical for identical (spec, seed, version) triples.
+no timing data; --timings prints wall times to stderr only (the report's
+own size and write time last), so reports stay byte-identical for
+identical (spec, seed, version) triples.
 Precedence for depth/seed/caps: command line, then spec file, then
 defaults.
 """
@@ -131,9 +132,12 @@ def _load_spec(args):
 
 
 def _emit(args, report: dict) -> None:
+    t0 = time.monotonic()
     text = write_report(report, args.report)
     if args.report is None:
         sys.stdout.write(text)
+    if args.timings:  # canonical text is ASCII: one byte per character
+        print(f"report: {len(text)} bytes, {time.monotonic() - t0:.3f}s", file=sys.stderr)
 
 
 def cmd_solve(args) -> int:

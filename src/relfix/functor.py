@@ -253,13 +253,23 @@ def _prod_projections(x: FinPoset, y: FinPoset, caps: Caps):
     return p, PairTable(left, x.n), PairTable(right, y.n)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each int64 row as one fixed-width byte key: keys are equal exactly
+    when rows are, whatever the values (no radix code that could wrap)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
 @lru_cache(maxsize=None)
 def _hom_c(x: FinPoset, y: FinPoset, caps: Caps):
     """The hom poset, its element tables as one array (row i is element
-    i's table), and a dict from each table's bytes to its element."""
+    i's table), and the tables' row keys in sorted order with the element
+    of each, for hom_map's lookup."""
     h = hom_poset(x, y, caps)
     tables = _frozen(np.array(h.elems, dtype=np.int64).reshape(h.n, x.n))
-    return h, tables, {t.tobytes(): i for i, t in enumerate(tables)}
+    keys = _row_keys(tables)
+    order = _frozen(np.argsort(keys))
+    return h, tables, (_frozen(keys[order]), order)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +373,16 @@ def hom_map(am: MapRows, bm: MapRows, caps: Caps = DEFAULT_CAPS) -> MapRows:
     """Row by row, the action h |-> bm . h . am : hom(am.cod, bm.dom) ->
     hom(am.dom, bm.cod)."""
     dom, tables, _ = _hom_c(am.cod, bm.dom, caps)
-    cod, _, index = _hom_c(am.dom, bm.cod, caps)
+    cod, _, (keys, order) = _hom_c(am.dom, bm.cod, caps)
     inner = tables[:, am.arr].swapaxes(0, 1)  # [r, t]: t . am_r
     comp = bm.arr[np.arange(len(bm.arr))[:, None, None], inner]  # [r, t]: bm_r . t . am_r
-    ids = [index[t.tobytes()] for t in comp.reshape(-1, am.dom.n)]
-    return MapRows(dom, cod, np.reshape(ids, comp.shape[:2]))
+    flat = comp.reshape(-1, am.dom.n)
+    want = _row_keys(flat)
+    at = np.searchsorted(keys, want).clip(max=len(keys) - 1)
+    missing = keys[at] != want
+    if missing.any():
+        raise KeyError(flat[missing.argmax()].tolist())
+    return MapRows(dom, cod, order[at].reshape(comp.shape[:2]))
 
 
 def eval_maps(

@@ -280,13 +280,26 @@ def test_bad_input_is_a_usage_error(args, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("relfix: "), proc.stderr
 
 
+def _assert_report_line(proc):
+    # every --timings run ends with the report's size and write time
+    last = proc.stderr.splitlines()[-1]
+    m = re.fullmatch(r"report: (\d+) bytes, \d+\.\d{3}s", last)
+    assert m is not None, last
+    assert int(m.group(1)) == len(proc.stdout.encode()) > 0
+
+
 def test_timings_go_to_stderr_only():
     proc = run_cli(
         "solve", "--spec", str(SPECS / "lazy_nat.spec"), "--depth", "1", "--timings"
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)  # stdout stays pure JSON
-    assert "solve:" in proc.stderr
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == ["solve", "report"]
+    _assert_report_line(proc)
+    proc = run_cli("karoubi", "--poset", "chain(3)", "--timings")
+    assert proc.returncode == 0
+    assert [line.split(":")[0] for line in proc.stderr.splitlines()] == ["karoubi", "report"]
+    _assert_report_line(proc)
     # relate adds the eval_rel counts, and its report is the untimed one
     spec = str(SPECS / "lazy_nat.spec")
     plain = run_cli("relate", "--spec", spec)
@@ -295,7 +308,10 @@ def test_timings_go_to_stderr_only():
     assert timed.stdout == plain.stdout
     assert plain.stderr == ""
     lines = timed.stderr.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["relate[all]", "eval_rel", "pair_tables"]
+    assert [line.split(":")[0] for line in lines] == [
+        "relate[all]", "eval_rel", "pair_tables", "report"
+    ]
+    _assert_report_line(timed)
     m = re.fullmatch(
         r"eval_rel: (\d+) calls, (\d+) answered by the chain's table, (\d+) entries", lines[1]
     )
@@ -314,9 +330,9 @@ def test_relate_timings_count_the_wide_pair_tables():
     assert plain.returncode == timed.returncode == 0, timed.stderr
     assert timed.stdout == plain.stdout
     assert plain.stderr == ""
-    last = timed.stderr.splitlines()[-1]
-    m = re.fullmatch(r"pair_tables: (\d+) wide built, (\d+) of them runs, largest (\d+) -> (\d+)", last)
-    assert m is not None, last
+    (line,) = [line for line in timed.stderr.splitlines() if line.startswith("pair_tables:")]
+    m = re.fullmatch(r"pair_tables: (\d+) wide built, (\d+) of them runs, largest (\d+) -> (\d+)", line)
+    assert m is not None, line
     tables, runs, kx, ky = map(int, m.groups())
     assert 0 < runs < tables
     assert max(kx, ky) == 31
@@ -330,7 +346,8 @@ def test_check_timings_name_each_suite_and_leave_the_report_alone():
     assert plain.stderr == ""
     names = [line.split(":")[0] for line in timed.stderr.splitlines()]
     suites = ["lemma2", "functor_laws", "adjunction", "contractive", "karoubi", "duality"]
-    assert names == [f"check[{s}]" for s in suites + ["all"]] + ["monotone_tables"]
+    assert names == [f"check[{s}]" for s in suites + ["all"]] + ["monotone_tables", "report"]
+    _assert_report_line(timed)
 
 
 def test_check_timings_count_the_hom_table_cache():
@@ -340,7 +357,8 @@ def test_check_timings_count_the_hom_table_cache():
     assert timed.stdout == plain.stdout
     assert plain.stderr == ""
     lines = timed.stderr.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["check[karoubi]", "monotone_tables"]
+    assert [line.split(":")[0] for line in lines] == ["check[karoubi]", "monotone_tables", "report"]
+    _assert_report_line(timed)
     m = re.fullmatch(r"monotone_tables: (\d+) poset pairs enumerated, (\d+) cache hits", lines[1])
     assert m is not None, lines[1]
     # each hom-set is enumerated once and then served from the cache

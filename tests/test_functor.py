@@ -56,6 +56,7 @@ from relfix.poset import (
     product,
     small_pointed_posets,
     sum_sep,
+    validate_poset,
     vee,
 )
 from relfix.relations import (
@@ -224,6 +225,44 @@ def test_a_one_row_batch_pairs_with_every_row():
             for out, want in ((action(one_row, batch), [loop(e, m) for m in maps]),
                               (action(batch, one_row), [loop(m, e) for m in maps])):
                 assert [_row(out, r) for r in range(len(maps))] == want
+
+
+def _dict_hom_map(am: MapRows, bm: MapRows) -> list:
+    """hom_map's element ids by a dict from each table's bytes to its
+    element, row by row (equal-length batches)."""
+    tables = np.array(hom_poset(am.cod, bm.dom).elems, dtype=np.int64).reshape(-1, am.cod.n)
+    targets = np.array(hom_poset(am.dom, bm.cod).elems, dtype=np.int64).reshape(-1, am.dom.n)
+    index = {t.tobytes(): i for i, t in enumerate(targets)}
+    return [[index[b[t[a]].tobytes()] for t in tables] for a, b in zip(am.arr, bm.arr)]
+
+
+def _flat(atoms: int):
+    return validate_poset(atoms + 1, [(0, i) for i in range(1, atoms + 1)], 0)
+
+
+def test_hom_map_looks_tables_up_like_the_dict_it_replaced():
+    # every pair of endomaps on every ordered corpus pair, and a hom with
+    # 2,401 elements whose tables a radix code could not hold
+    # (301 ** 8 > 2 ** 63): hom(chain(8), flat 300 atoms)
+    for x, y in itertools.product(small_pointed_posets(), repeat=2):
+        ex, ey = monotone_tables(x, x), monotone_tables(y, y)
+        am = MapRows(x, x, np.repeat(ex, len(ey), axis=0))
+        bm = MapRows(y, y, np.tile(ey, (len(ex), 1)))
+        assert hom_map(am, bm).arr.tolist() == _dict_hom_map(am, bm)
+    c8, f300 = chain_poset(8), _flat(300)
+    up, down = np.minimum(np.arange(8) + 1, 7), np.maximum(np.arange(8) - 1, 0)
+    am = MapRows(c8, c8, np.array([np.arange(8), up, down, np.zeros(8, dtype=np.int64)]))
+    keep = np.arange(301)
+    collapse = np.where(keep > 150, 0, keep)
+    reverse = np.concatenate([[0], keep[:0:-1]])
+    bm = MapRows(f300, f300, np.array([keep, reverse, collapse, reverse]))
+    out = hom_map(am, bm)
+    assert out.dom.n == out.cod.n == 2401 and out.arr[0].tolist() == list(range(2401))
+    assert out.arr.tolist() == _dict_hom_map(am, bm)
+    # a composed table outside the hom (bm not monotone) is still a KeyError
+    swap = np.concatenate([[1], np.zeros(300, dtype=np.int64)])
+    with pytest.raises(KeyError):
+        hom_map(MapRows(c8, c8, am.arr[:1]), MapRows(f300, f300, swap[None]))
 
 
 def test_eval_maps_is_eval_map_row_by_row():
