@@ -96,10 +96,8 @@ from .chain import (
     truncation_projections,
 )
 from .engines import (
-    RelPair,
     check_uniform,
     compare_methods,
-    psi_pair_step,
     psi_step,
     solve_banach,
     solve_kleene,

@@ -173,14 +173,12 @@ def cmd_relate(args) -> int:
     if args.method == "all":
         result = compare_methods(chain)
     elif args.method == "kt":
-        pair, iterations = solve_knaster_tarski(chain)
+        (neg, pos), iterations = solve_knaster_tarski(chain)
         result = {
             "method": "knaster_tarski",
             "iterations": iterations,
-            "neg_equals_pos": all(
-                pair.neg[m] == pair.pos[m] for m in range(depth + 1)
-            ),
-            "family": [pair.pos[m].sorted_pairs() for m in range(depth + 1)],
+            "neg_equals_pos": all(neg[m] == pos[m] for m in range(depth + 1)),
+            "family": [pos[m].sorted_pairs() for m in range(depth + 1)],
         }
     elif args.method == "kleene":
         fam = solve_kleene(chain)

@@ -6,8 +6,9 @@ families, and families make the methods directly comparable level by
 level.
 
 * solve_knaster_tarski: least fixed point of the mixed-variance pair
-  operator on the lattice L = (relations)^op x relations, iterated from
-  the L-bottom (total family, bottom family).
+  operator (neg, pos) -> (psi(pos, neg), psi(neg, pos)) on the lattice
+  L = (families)^op x families, iterated from the L-bottom (total
+  family, bottom family).
 * solve_kleene: the forward inverse-limit family R_{n+1} = F(R_n, R_n).
 * solve_banach: iteration of the contractive one-sided operator from an
   arbitrary start, with per-level stabilization tracking.
@@ -18,8 +19,6 @@ into a diagnosable failure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .chain import (
     DomainChain,
@@ -37,39 +36,16 @@ from .errors import (
     NotContractive,
 )
 from .functor import eval_rel, to_src
-from .relations import (
-    BinRel,
-    rel_morphism_witness,
-    total_rel,
-)
+from .relations import BinRel, rel_morphism_witness, total_rel
 
 __all__ = [
-    "RelPair",
-    "rel_pair_leq",
     "psi_step",
-    "psi_pair_step",
     "solve_knaster_tarski",
     "solve_kleene",
     "solve_banach",
     "check_uniform",
     "compare_methods",
 ]
-
-
-@dataclass(frozen=True)
-class RelPair:
-    """A point of the lattice L = (families)^op x families."""
-
-    neg: RelFamily
-    pos: RelFamily
-
-
-def rel_pair_leq(a: RelPair, b: RelPair) -> bool:
-    """The L-order: neg shrinks (opposite order) while pos grows."""
-    n = len(a.neg)
-    return all(b.neg[m] <= a.neg[m] for m in range(n)) and all(
-        a.pos[m] <= b.pos[m] for m in range(n)
-    )
 
 
 def _psi(chain: DomainChain, neg: RelFamily, pos: RelFamily) -> RelFamily:
@@ -91,48 +67,45 @@ def psi_step(chain: DomainChain, fam: RelFamily) -> RelFamily:
     return _psi(chain, fam, fam)
 
 
-def psi_pair_step(chain: DomainChain, pair: RelPair) -> RelPair:
-    """The mixed-variance operator on L, applied levelwise."""
-    return RelPair(_psi(chain, pair.pos, pair.neg), _psi(chain, pair.neg, pair.pos))
-
-
 def _ceiling(chain: DomainChain) -> int:
     return chain.depth + 4
 
 
-def solve_knaster_tarski(chain: DomainChain) -> tuple[RelPair, int]:
-    """Least fixed point of psi_pair_step from the L-bottom.
+def solve_knaster_tarski(chain: DomainChain) -> tuple[tuple[RelFamily, RelFamily], int]:
+    """Least fixed point (neg, pos) of the pair operator from the L-bottom.
 
-    Iterates from (total family, bottom family) until stationary; the
-    returned count includes the confirming application.  The fixed point
-    must have equal halves; a mismatch contradicts the antisymmetry
-    argument and is raised loudly.
+    Iterates (neg, pos) <- (psi(pos, neg), psi(neg, pos)) from (total
+    family, bottom family) until stationary; each step must ascend in L,
+    where neg shrinks while pos grows.  The returned count includes the
+    confirming application.  The fixed point must have equal halves; a
+    mismatch contradicts the antisymmetry argument and is raised loudly.
     """
-    cur = RelPair(total_family(chain), bottom_family(chain))
+    neg, pos = total_family(chain), bottom_family(chain)
+    levels = range(chain.depth + 1)
     iterations = 0
     while True:
-        nxt = psi_pair_step(chain, cur)
+        nxt_neg, nxt_pos = _psi(chain, pos, neg), _psi(chain, neg, pos)
         iterations += 1
-        if not rel_pair_leq(cur, nxt):
+        if not all(nxt_neg[m] <= neg[m] and pos[m] <= nxt_pos[m] for m in levels):
             raise InternalInvariantViolation(
                 "Knaster-Tarski iteration failed to ascend", iteration=iterations
             )
-        if nxt == cur:
+        if nxt_neg == neg and nxt_pos == pos:
             break
-        cur = nxt
+        neg, pos = nxt_neg, nxt_pos
         if iterations > _ceiling(chain):
             raise InternalInvariantViolation(
                 "Knaster-Tarski exceeded its iteration ceiling",
                 ceiling=_ceiling(chain),
             )
-    for m in range(chain.depth + 1):
-        if cur.neg[m] != cur.pos[m]:
+    for m in levels:
+        if neg[m] != pos[m]:
             raise NegPosMismatch(
                 "fixed point has unequal halves",
                 level=m,
-                difference=sorted(cur.neg[m].pairs ^ cur.pos[m].pairs)[:5],
+                difference=sorted(neg[m].pairs ^ pos[m].pairs)[:5],
             )
-    return cur, iterations
+    return (neg, pos), iterations
 
 
 def solve_kleene(chain: DomainChain) -> RelFamily:
@@ -194,17 +167,12 @@ def solve_banach(
     return nxt, profile
 
 
-def check_uniform(chain: DomainChain, rel) -> tuple[bool, dict | None]:
+def check_uniform(chain: DomainChain, rel: BinRel) -> tuple[bool, dict | None]:
     """Is every truncation projection a morphism R -> R on the top level?
 
-    Accepts either a relation on X_N or a coherent family (which is glued
-    first).  Returns (verdict, witness), the witness naming the failing
-    projection index and pair.
+    Returns (verdict, witness), the witness naming the failing projection
+    index and pair.
     """
-    if isinstance(rel, RelFamily):
-        rel = glue_family(chain, rel)
-    if not isinstance(rel, BinRel):
-        raise InternalInvariantViolation("check_uniform wants a relation or family")
     for i in range(chain.depth + 1):
         w = rel_morphism_witness(chain.pi(i), rel, rel)
         if w is not None:
@@ -222,13 +190,13 @@ def compare_methods(chain: DomainChain) -> dict:
     with an underscore hold the raw objects and are stripped before
     serialization.
     """
-    kt_pair, kt_iterations = solve_knaster_tarski(chain)
+    (_, kt_pos), kt_iterations = solve_knaster_tarski(chain)
     kleene = solve_kleene(chain)
     banach, profile = solve_banach(chain)
     banach_low, _ = solve_banach(chain, start=bottom_family(chain))
 
     families = {
-        "knaster_tarski": kt_pair.pos,
+        "knaster_tarski": kt_pos,
         "kleene": kleene,
         "banach": banach,
         "banach_from_bottom": banach_low,

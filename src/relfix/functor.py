@@ -545,10 +545,7 @@ def _eval_rel(f, rneg, spos, caps) -> BinRel:
         rb = _eval_rel(f.right, rneg, spos, caps)
         h, tables, _ = _hom_c(ra.carrier, rb.carrier, caps)
         ax, ay = np.nonzero(ra.matrix)
-        if ax.size:
-            ok = rb.matrix[tables[:, None, ax], tables[None, :, ay]].all(axis=2)
-        else:
-            ok = np.ones((h.n, h.n), dtype=bool)
+        ok = rb.matrix[tables[:, None, ax], tables[None, :, ay]].all(axis=2)
         return rel_from_matrix(h, ok)
     raise TypeMismatch("unknown functor node", node=type(f).__name__)
 

@@ -19,7 +19,8 @@ mask i in the little-endian layout of one packed mask (bit q in byte
 q // 8, at bit q % 8); masks_to_rows and rows_to_masks convert.
 PairTable.pull_rows and push_rows map a whole batch: a narrow table ORs
 the lookups of every input byte in its byte lookup tables, and a wide
-one unpacks, gathers or scatters the columns, and packs.
+one maps its rows one at a time through pull and push.  Every batch the
+program maps is on a narrow table.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "rel_from_matrix",
     "bottom_index",
     "admissible_masks",
+    "admissible_rows",
     "masks_to_rows",
     "rows_to_masks",
     "rows_le",
@@ -62,7 +64,7 @@ __all__ = [
 # a gather or scatter, then packbits), because the int loop shifts the
 # whole mask once per bit and so grows quadratically with the width.  The
 # same bound chooses the batch path of a pair table: byte lookup tables
-# when both of its masks are this narrow, else the numpy path.
+# when both of its masks are this narrow, else one row at a time.
 # Measured with Python 3.11.7 and numpy 2.4.6 on a 2-vCPU VM, one call
 # along an n-element table at n = 7, 8, 9, 10 (int / numpy, us, timeit
 # minimum of 7 x 2000, best of four runs):
@@ -87,11 +89,6 @@ def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _unpack_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """The low `width` bits of every packed row, bit 0 first, as 0/1 bytes."""
-    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
-
-
 def masks_to_rows(masks: Iterable[int], width: int) -> np.ndarray:
     """A batch of width-bit masks as packed rows, one row per mask."""
     nbytes = (width + 7) // 8
@@ -113,26 +110,14 @@ def rows_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _set_bits(mask: int, width: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""
-    if width > _INT_MAX_BITS:
-        return np.flatnonzero(_unpack(mask, width)).tolist()
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return np.flatnonzero(_unpack(mask, width)).tolist()
 
 
 def _mask_of(bits: Iterable[int], width: int) -> int:
     """The mask with exactly the given bit indices set."""
-    if width > _INT_MAX_BITS:
-        out = np.zeros(width, dtype=bool)
-        out[np.fromiter(bits, dtype=np.int64)] = True
-        return _pack(out)
-    mask = 0
-    for q in bits:
-        mask |= 1 << q
-    return mask
+    out = np.zeros(width, dtype=bool)
+    out[np.fromiter(bits, dtype=np.int64)] = True
+    return _pack(out)
 
 
 def _byte_lut(images: np.ndarray) -> np.ndarray:
@@ -215,13 +200,13 @@ class PairTable:
     set) has run = o when it is o, o+1, ..., o+kx-1; any other has its
     image (v, inv): its distinct values ascending, with arr == v[inv]."""
 
-    __slots__ = ("kx", "ky", "arr", "run", "image", "_index", "_cols", "_luts")
+    __slots__ = ("kx", "ky", "arr", "run", "image", "_index", "_luts")
 
     def __init__(self, table: Sequence[int] | np.ndarray, ky: int):
         table = np.asarray(table, dtype=np.int64)
         self.kx = kx = len(table)
         self.ky = ky
-        self.arr = self.run = self.image = self._index = self._cols = None
+        self.arr = self.run = self.image = self._index = None
         self._luts = {}
         if max(kx, ky) ** 2 > _INT_MAX_BITS:
             a = self.arr = table
@@ -246,19 +231,12 @@ class PairTable:
             self._index = (a[:, None] * self.ky + a[None, :]).ravel().tolist()
         return self._index
 
-    @property
-    def cols(self) -> np.ndarray:
-        """index as an array: the column gathered into each domain bit."""
-        if self._cols is None:
-            self._cols = np.asarray(self.index, dtype=np.intp)
-        return self._cols
-
     def _lut(self, push: bool) -> np.ndarray:
-        """The byte lookup table of push or of pull, built on first use:
-        push sends domain bit q to codomain bit cols[q], and pull sends
-        codomain bit j to every domain bit q with cols[q] == j."""
+        """The byte lookup table of push or of pull of a narrow table, built
+        on first use: push sends domain bit q to codomain bit index[q], and
+        pull sends codomain bit j to every domain bit q with index[q] == j."""
         if push not in self._luts:
-            hits = self.cols[:, None] == np.arange(self.ky * self.ky)
+            hits = np.asarray(self._index)[:, None] == np.arange(self.ky * self.ky)
             self._luts[push] = _byte_lut(hits if push else hits.T)
         return self._luts[push]
 
@@ -266,22 +244,14 @@ class PairTable:
         """pull applied to every row of a batch of packed codomain masks."""
         if self.arr is None:
             return _apply_lut(self._lut(False), rows)
-        bits = _unpack_rows(rows, self.ky * self.ky)
-        return np.packbits(bits[:, self.cols], axis=1, bitorder="little")
+        return masks_to_rows(map(self.pull, rows_to_masks(rows)), self.kx * self.kx)
 
     def push_rows(self, rows: np.ndarray) -> np.ndarray:
         """push applied to every row of a batch of packed domain masks:
         each image bit is the OR of the domain bits that land on it."""
         if self.arr is None:
             return _apply_lut(self._lut(True), rows)
-        cols = self.cols
-        order = np.argsort(cols, kind="stable")
-        targets = cols[order]
-        starts = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
-        bits = _unpack_rows(rows, self.kx * self.kx)
-        out = np.zeros((len(rows), self.ky * self.ky), dtype=np.uint8)
-        out[:, targets[starts]] = np.bitwise_or.reduceat(bits[:, order], starts, axis=1)
-        return np.packbits(out, axis=1, bitorder="little")
+        return masks_to_rows(map(self.push, rows_to_masks(rows)), self.ky * self.ky)
 
     def pull(self, mask: int) -> int:
         """The domain bits whose image bit is set in mask."""
@@ -359,6 +329,12 @@ def admissible_masks(carrier: FinPoset):
     """Yield the mask of every admissible relation on the carrier, ascending."""
     bot = 1 << bottom_index(carrier)
     return (m for m in range(1 << (carrier.n * carrier.n)) if m & bot)
+
+
+def admissible_rows(carrier: FinPoset) -> tuple[list[int], np.ndarray]:
+    """Every admissible mask of the carrier, ascending, as ints and as packed rows."""
+    masks = list(admissible_masks(carrier))
+    return masks, masks_to_rows(masks, carrier.n * carrier.n)
 
 
 def diagonal(carrier: FinPoset) -> BinRel:

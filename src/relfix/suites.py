@@ -67,7 +67,7 @@ from .poset import (
 )
 from .relations import (
     BinRel,
-    admissible_masks,
+    admissible_rows,
     bottom_rel,
     diagonal,
     direct_image,
@@ -120,15 +120,6 @@ def _all_maps(x: FinPoset, y: FinPoset) -> list:
     return [MonotoneMap(x, y, t) for t in monotone_tables(x, y)]
 
 
-def _admissible_rows(posets: list) -> dict:
-    """Every admissible mask of each poset, as ints and as packed rows."""
-    out = {}
-    for p in posets:
-        masks = list(admissible_masks(p))
-        out[p] = (masks, masks_to_rows(masks, p.n * p.n))
-    return out
-
-
 def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     """The four morphism properties, exhaustive on the small-poset corpus.
 
@@ -143,7 +134,7 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     every admissible relation, one map at a time.
     """
     posets = small_pointed_posets()
-    rels = _admissible_rows(posets)
+    rels = {p: admissible_rows(p) for p in posets}
     report: dict = {"corpus": [p.label or str(p.n) for p in posets], "properties": {}}
 
     count = 0
@@ -218,7 +209,7 @@ def adjunction_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     """direct_image -| inverse_image, exhaustive on the same corpus: the
     (R, S) grid of each map is one array comparison."""
     posets = small_pointed_posets()
-    rels = _admissible_rows(posets)
+    rels = {p: admissible_rows(p) for p in posets}
     count = 0
     ok = True
     witnesses = []

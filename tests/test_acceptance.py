@@ -66,12 +66,12 @@ def test_criterion_01_three_method_agreement():
     Tolerance: exact set equality.  Budget: 60 s total."""
     t0 = time.monotonic()
     for name, ch in build_all().items():
-        pair, _ = solve_knaster_tarski(ch)
+        (neg, pos), _ = solve_knaster_tarski(ch)
         kleene = solve_kleene(ch)
         banach, _ = solve_banach(ch)
         for m in range(ch.depth + 1):
-            assert pair.neg[m] == pair.pos[m], (name, m)
-            assert pair.pos[m] == kleene[m], (name, m)
+            assert neg[m] == pos[m], (name, m)
+            assert pos[m] == kleene[m], (name, m)
             assert kleene[m] == banach[m], (name, m)
     assert time.monotonic() - t0 < 60.0
 

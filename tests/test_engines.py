@@ -23,7 +23,9 @@ from relfix.engines import (
     solve_kleene,
     solve_knaster_tarski,
 )
+from relfix import engines
 from relfix.dsl import parse_spec
+from relfix.errors import InternalInvariantViolation, NegPosMismatch, NotContractive
 from relfix.functor import Const, Fun, Lift, Prod, Var
 from relfix.poset import chain_poset, hom_poset, lift, one, product
 from relfix.relations import BinRel, bottom_index, rel_from_pairs, total_rel
@@ -49,18 +51,18 @@ def test_kt_iteration_count_is_depth_plus_one(chains):
     # each sweep of the pair operator settles one more level, so the
     # iteration count is exactly depth + 1 on the canonical specs
     for ch in chains.values():
-        pair, iterations = solve_knaster_tarski(ch)
+        (neg, pos), iterations = solve_knaster_tarski(ch)
         assert iterations == ch.depth + 1
-        assert all(pair.neg[m] == pair.pos[m] for m in range(ch.depth + 1))
+        assert all(neg[m] == pos[m] for m in range(ch.depth + 1))
 
 
 def test_methods_agree_levelwise(chains):
     for ch in chains.values():
-        pair, _ = solve_knaster_tarski(ch)
+        (_, pos), _ = solve_knaster_tarski(ch)
         kleene = solve_kleene(ch)
         banach, _ = solve_banach(ch)
         for m in range(ch.depth + 1):
-            assert pair.pos[m] == kleene[m] == banach[m]
+            assert pos[m] == kleene[m] == banach[m]
 
 
 def test_banach_stabilization_profile(chains):
@@ -251,3 +253,82 @@ def test_compare_methods_report_shape(solved):
         ):
             assert key in report
         assert report["uniform_witness"] is None
+
+
+# ---------------------------------------------------------------------------
+# the engines' failure paths, each reached by a broken levelwise operator
+# ---------------------------------------------------------------------------
+
+SPECS = Path(__file__).parent / "specs"
+BUNDLED = ["fun_nondiag", "lazy_nat", "reflexive", "streams"]
+
+
+@pytest.fixture(scope="module")
+def bundled_chains():
+    # fresh chains, so that the broken operators' questions stay out of the
+    # session chains' relation tables
+    out = {}
+    for name in BUNDLED:
+        spec = parse_spec((SPECS / f"{name}.spec").read_text())
+        out[name] = build_chain(spec.functor, spec.depth)
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_kt_with_its_polarity_swapped_fails_to_ascend(bundled_chains, monkeypatch, name):
+    orig = engines._psi
+    monkeypatch.setattr(engines, "_psi", lambda c, neg, pos: orig(c, pos, neg))
+    with pytest.raises(InternalInvariantViolation, match="failed to ascend"):
+        solve_knaster_tarski(bundled_chains[name])
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_kt_with_an_operator_that_keeps_its_halves_has_unequal_halves(
+    bundled_chains, monkeypatch, name
+):
+    # (total, bottom) is stationary at once; the two agree on the one-point
+    # level 0 only
+    monkeypatch.setattr(engines, "_psi", lambda c, neg, pos: pos)
+    with pytest.raises(NegPosMismatch) as err:
+        solve_knaster_tarski(bundled_chains[name])
+    assert err.value.details["level"] == 1
+
+
+def test_kt_that_never_settles_exceeds_its_ceiling(bundled_chains, monkeypatch):
+    # each call adds the lowest missing pair at every level: pos ascends
+    # one pair at a time, far past depth + 4 steps on a 13-element level
+    def add_a_pair(c, neg, pos):
+        rels = []
+        for r in pos.rels:
+            missing = ~r.mask & ((1 << r.carrier.n**2) - 1)
+            rels.append(BinRel(r.carrier, r.mask | (missing & -missing)))
+        return make_family(c, rels)
+
+    monkeypatch.setattr(engines, "_psi", add_a_pair)
+    ch = bundled_chains["lazy_nat"]
+    with pytest.raises(InternalInvariantViolation, match="iteration ceiling") as err:
+        solve_knaster_tarski(ch)
+    assert err.value.details == {"ceiling": 10}
+
+
+def test_banach_whose_level_one_settles_late_is_not_contractive(bundled_chains, monkeypatch):
+    # level 1 of the first two outputs loses its top diagonal pair, so it
+    # settles at iteration 3 against the bound 2, and each level above
+    # settles one iteration after the one below
+    orig, calls = engines._psi, []
+
+    def flip_level_one(c, neg, pos):
+        out = orig(c, neg, pos)
+        calls.append(None)
+        if len(calls) > 2:
+            return out
+        rels = list(out.rels)
+        r = rels[1]
+        rels[1] = BinRel(r.carrier, r.mask ^ 1 << (r.carrier.n**2 - 1))
+        return make_family(c, rels)
+
+    monkeypatch.setattr(engines, "_psi", flip_level_one)
+    with pytest.raises(NotContractive) as err:
+        solve_banach(bundled_chains["lazy_nat"])
+    assert err.value.details["profile"] == [0, 3, 4, 5, 6, 7, 8]
+    assert err.value.details["levels"] == [1, 2, 3, 4, 5, 6]

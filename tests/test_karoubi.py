@@ -48,8 +48,9 @@ from relfix.poset import (
     one,
     small_pointed_posets,
     validate_poset,
+    vee,
 )
-from relfix.relations import diagonal, inverse_image
+from relfix.relations import BinRel, admissible_masks, diagonal, inverse_image
 from relfix.suites import _all_idempotents, diamond
 
 C2 = chain_poset(2)
@@ -343,8 +344,53 @@ def test_rel_fiber_respects_the_pair_cap():
     from relfix.config import Caps
 
     p = Idempotent(C3, identity_map(C3))
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded) as err:
         karoubi_rel_fiber(KaroubiObj(C3, p), Caps(max_elements=100, max_pairs=100))
+    assert err.value.message == "relation space too large"
+    assert err.value.details == {"carrier": 3, "candidates": 512}
+
+
+def per_mask_fiber(a: KaroubiObj) -> dict:
+    """karoubi_rel_fiber's report, one scalar inverse image per admissible
+    relation in ascending mask order."""
+    x, p = a.X, a.p.mor
+    fiber, counterexamples, holds, admissible = [], [], 0, 0
+    for mask in admissible_masks(x):
+        rel = BinRel(x, mask)
+        admissible += 1
+        pulled = inverse_image(p, rel)
+        if pulled == rel:
+            fiber.append(rel.sorted_pairs())
+        if pulled <= rel:
+            holds += 1
+        elif len(counterexamples) < 5:
+            counterexamples.append(
+                {"relation": rel.sorted_pairs(), "pulled_back": pulled.sorted_pairs()}
+            )
+    return {
+        "carrier_size": x.n,
+        "idempotent": p.arr.tolist(),
+        "candidates": 1 << (x.n * x.n),
+        "admissible": admissible,
+        "fiber_size": len(fiber),
+        "fiber": fiber,
+        "claim_pstar_below": {
+            "holds_for": holds,
+            "fails_for": admissible - holds,
+            "counterexamples": counterexamples,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [one(), C2, C3, chain_poset(4), vee(), diamond()],
+    ids=["one", "chain2", "chain3", "chain4", "vee", "diamond"],
+)
+def test_rel_fiber_matches_the_per_mask_scan_on_every_ed_member(poset):
+    for p in enumerate_canonical_idempotents(poset):
+        a = KaroubiObj(poset, p)
+        assert karoubi_rel_fiber(a) == per_mask_fiber(a)
 
 
 def scalar_idempotents(d) -> list:

@@ -261,9 +261,7 @@ def test_batch_images_are_c_rows_that_ignore_bits_above_the_width(case, junk):
         rows = masks_to_rows(masks, w_in)
         out = rows_of(rows)
         assert out.dtype == np.uint8 and out.shape == (len(masks), (w_out + 7) // 8)
-        # the lookup path returns C rows; the unpack path returns packbits'
-        # layout, which rows_le does not depend on
-        assert out.flags.c_contiguous or pt.arr is not None
+        assert out.flags.c_contiguous
         # set bits above the width in the last byte of each row are not
         # part of the mask, as for unpackbits(count=width)
         padded = rows.copy()
