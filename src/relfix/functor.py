@@ -50,6 +50,7 @@ from .poset import (
     product,
     small_pointed_posets,
     sum_sep,
+    table_positions,
 )
 from .relations import (
     BinRel,
@@ -599,10 +600,11 @@ def check_functor_laws(
     time: its instances, in nested-loop order and cut at the budget, are
     index rows into monotone-map tables, and one array comparison over the
     actions' results flags failing rows, which MonotoneMap and BinRel
-    operations recheck in order for the witness: one eval_maps call per
-    block and argument type, or a custom action once per distinct pair.
-    Results of mixed types (or errors) flag their whole block, so broken
-    actions fail as they would instance by instance.
+    operations recheck in order for the witness.  The default action and
+    eval_rel are read from tables built once per call, over every pair of
+    maps of one argument type or of law relations on two posets; a custom
+    action runs once per distinct pair.  Mixed types (or errors) flag the
+    whole block, so broken actions fail as they would instance by instance.
     """
     act_fn = action if action is not None else eval_map
     posets = pool if pool is not None else small_pointed_posets()
@@ -612,45 +614,53 @@ def check_functor_laws(
 
     @lru_cache(maxsize=None)
     def maps_between(x: FinPoset, y: FinPoset):
-        """The monotone maps x -> y, their tables as one array, and the tables'
-        codes in radix y.n (ascending: the enumeration is lexicographic)."""
-        arr = monotone_tables(x, y)
-        return [MonotoneMap(x, y, t) for t in arr], arr, arr @ y.n ** np.arange(x.n)[::-1]
+        """The monotone maps x -> y and their tables as one array."""
+        return [MonotoneMap(x, y, t) for t in monotone_tables(x, y)], monotone_tables(x, y)
 
     def composite(x, y, z, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Each (g-th map y -> z) @ (h-th map x -> y) as an index into x -> z."""
-        tables = maps_between(y, z)[1][g[:, None], maps_between(x, y)[1][h]]
-        return np.searchsorted(maps_between(x, z)[2], tables @ z.n ** np.arange(x.n)[::-1])
+        return table_positions(x, z, monotone_tables(y, z)[g[:, None], monotone_tables(x, y)[h]])
 
-    def batch(fn, xs: list, ys: list, xi: np.ndarray, yi: np.ndarray):
-        """fn once per distinct pair (xs[i], ys[j]) of the rows (i, j): each
-        row's index into the results, and the results (errors included)."""
-        pairs, idx = np.unique(xi * len(ys) + yi, return_inverse=True)
-        outs = []
-        for c in pairs.tolist():
-            try:
-                outs.append(fn(xs[c // len(ys)], ys[c % len(ys)]))
-            except Exception as exc:  # raised again by the recheck
-                outs.append(exc)
-        return idx, outs
+    @lru_cache(maxsize=None)
+    def table(neg: tuple, pos: tuple):
+        """(tables, dom, cod): row i * (maps of type pos) + j is eval_maps on the
+        i-th map of type neg and the j-th of type pos; None if it raises."""
+        tn, tp = maps_between(*neg)[1], maps_between(*pos)[1]
+        try:
+            out = eval_maps(f, MapRows(*neg, tn.repeat(len(tp), 0)),
+                            MapRows(*pos, np.tile(tp, (len(tn), 1))), caps)
+        except Exception:
+            return None
+        return np.broadcast_to(out.arr, (len(tn) * len(tp), out.dom.n)), out.dom, out.cod
+
+    @lru_cache(maxsize=None)
+    def rel_table(x: FinPoset, y: FinPoset):
+        """(matrices, carrier): row r * (law relations on y) + s is eval_rel on
+        the r-th on x and the s-th on y; None on an error or mixed carriers."""
+        try:
+            outs = [rel_act(r, s) for r in law_rels(x) for s in law_rels(y)]
+        except Exception:
+            return None
+        carriers = {q.carrier for q in outs}
+        return (np.array([q.matrix for q in outs]), *carriers) if len(carriers) == 1 else None
 
     def acted(neg: tuple, pos: tuple, ni: np.ndarray, pi: np.ndarray):
         """The action on the rows (ni-th map of type neg, pi-th of type pos), a
         type being (dom, cod): each row's index into the results, and their
         (tables, dom, cod), or None unless they are maps of one type."""
-        (negs, tn, _), (poss, tp, _) = maps_between(*neg), maps_between(*pos)
-        if action is not None:
-            idx, outs = batch(act, negs, poss, ni, pi)
-            types = {(m.dom, m.cod) if isinstance(m, MonotoneMap) else None for m in outs}
-            one_type = len(types) == 1 and None not in types
-            return idx, (np.array([m.arr for m in outs]), *types.pop()) if one_type else None
+        (negs, _), (poss, _) = maps_between(*neg), maps_between(*pos)
+        if action is None:
+            return ni * len(poss) + pi, table(neg, pos)
         pairs, idx = np.unique(ni * len(poss) + pi, return_inverse=True)
-        try:
-            out = eval_maps(f, MapRows(*neg, tn[pairs // len(poss)]),
-                            MapRows(*pos, tp[pairs % len(poss)]), caps)
-        except Exception:  # raised again by the recheck
-            return idx, None
-        return idx, (np.broadcast_to(out.arr, (pairs.size, out.dom.n)), out.dom, out.cod)
+        outs = []
+        for c in pairs.tolist():  # the custom action once per distinct pair
+            try:
+                outs.append(act(negs[c // len(poss)], poss[c % len(poss)]))
+            except Exception as exc:  # raised again by the recheck
+                outs.append(exc)
+        types = {(m.dom, m.cod) if isinstance(m, MonotoneMap) else None for m in outs}
+        one_type = len(types) == 1 and None not in types
+        return idx, (np.array([m.arr for m in outs]), *types.pop()) if one_type else None
 
     def name(p: FinPoset) -> str:
         return p.label or f"poset{p.n}"
@@ -711,7 +721,7 @@ def check_functor_laws(
         return int(np.prod(shape))
 
     def monotonicity(a, b, room):
-        (negs, tn, _), (poss, tp, _) = maps_between(b, a), maps_between(a, b)
+        (negs, tn), (poss, tp) = maps_between(b, a), maps_between(a, b)
         le_n, le_p = (p.leq[t[:, None], t[None, :]].all(axis=2) for p, t in ((a, tn), (b, tp)))
         inst = le_n[:, :, None, None] & le_p[None, None]
         n1, n2, p1, p2 = np.argwhere(inst)[:room].T
@@ -737,15 +747,12 @@ def check_functor_laws(
         us, vs = maps_between(xp, x)[0], maps_between(y, yp)[0]
         rps, rs, ss, sps = law_rels(xp), law_rels(x), law_rels(y), law_rels(yp)
         mi, t = acted((xp, x), (y, yp), u, v)
-        bi, bigs = batch(rel_act, rs, ss, r, s)
-        si, smalls = batch(rel_act, rps, sps, rp, sp)
+        big, small = rel_table(x, y), rel_table(xp, yp)
         flagged = np.ones(u.size, dtype=bool)
-        carriers = [{getattr(q, "carrier", None) for q in qs} for qs in (bigs, smalls)]
-        if t and carriers == [{t[1]}, {t[2]}]:
-            big, small = (np.array([q.matrix for q in qs]) for qs in (bigs, smalls))
+        if t and big and small and (big[1], small[1]) == t[1:]:
             tm = t[0][mi]
-            image = small[si[:, None, None], tm[:, :, None], tm[:, None, :]]
-            flagged = (big[bi] & ~image).any(axis=(1, 2))
+            image = small[0][(rp * len(sps) + sp)[:, None, None], tm[:, :, None], tm[:, None, :]]
+            flagged = (big[0][r * len(ss) + s] & ~image).any(axis=(1, 2))
 
         def witness(k):
             m = act(us[u[k]], vs[v[k]])

@@ -223,9 +223,10 @@ def splitting_iso(s1: Splitting, s2: Splitting, verify_unique: bool | None = Non
     return i, i_inv
 
 
-def _envelope(t: np.ndarray, a: KaroubiObj, b: KaroubiObj) -> np.ndarray:
-    """Which rows of the table array t are envelope morphisms a -> b: fp = f = qf."""
-    return (t[:, a.p.mor.arr] == t).all(axis=1) & (b.p.mor.arr[t] == t).all(axis=1)
+def _envelope(t: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """[i, j, k]: row k of the table array t is an envelope morphism
+    (X, p_i) -> (Y, q_j), for stacks p and q of idempotent tables: fp = f = qf."""
+    return (t[:, p] == t[:, None]).all(-1).T[:, None] & (q[:, t] == t).all(-1)
 
 
 def karoubi_hom_check(f: MonotoneMap, a: KaroubiObj, b: KaroubiObj) -> bool:
@@ -238,7 +239,7 @@ def karoubi_hom_check(f: MonotoneMap, a: KaroubiObj, b: KaroubiObj) -> bool:
 def karoubi_hom_tables(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """The tables of all envelope morphisms a -> b, as cached table rows."""
     t = monotone_tables(a.X, b.X, caps.max_pairs)
-    return t[_envelope(t, a, b)]
+    return t[_envelope(t, a.p.mor.arr[None], b.p.mor.arr[None])[0, 0]]
 
 
 def karoubi_homs(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> list:
@@ -272,7 +273,7 @@ def hat_action(f: FunctorExpr, rows: np.ndarray, a: KaroubiObj, b: KaroubiObj,
     """The morphism part on each row of an array of envelope-morphism tables
     a -> b, with every Fg from one eval_maps call: im(Fp) --s--> FX --Fg-->
     FY --r--> im(Fq).  A row that is no envelope morphism raises TypeMismatch."""
-    if not (ok := _envelope(rows, a, b)).all():
+    if not (ok := _envelope(rows, a.p.mor.arr[None], b.p.mor.arr[None])[0, 0]).all():
         raise TypeMismatch("not an envelope morphism", table=tuple(rows[ok.argmin()].tolist()))
     sp, sq = _hat_split(f, a, caps), _hat_split(f, b, caps)
     fg = eval_maps(f, None, MapRows(a.X, b.X, rows), caps).arr

@@ -49,6 +49,7 @@ __all__ = [
     "hom_poset",
     "enumerate_monotone_maps",
     "monotone_tables",
+    "table_positions",
     "monotone_map",
     "identity_map",
     "const_map",
@@ -452,6 +453,16 @@ def monotone_tables(x: FinPoset, y: FinPoset, max_count: int | None = None) -> n
     arr = np.array(list(enumerate_monotone_maps(x, y, max_count)), dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def table_positions(x: FinPoset, y: FinPoset, tables: np.ndarray) -> np.ndarray:
+    """The index in monotone_tables(x, y) of each table x -> y (last axis of
+    tables), or -1 if missing, by radix-y.n codes, ascending as enumerated."""
+    assert y.n ** x.n < 2**63, "radix codes would wrap"
+    radix = y.n ** np.arange(x.n)[::-1]
+    codes, want = monotone_tables(x, y) @ radix, tables @ radix
+    at = np.searchsorted(codes, want).clip(max=len(codes) - 1)
+    return np.where(codes[at] == want, at, -1)
 
 
 def hom_poset(x: FinPoset, y: FinPoset, caps: Caps = DEFAULT_CAPS) -> FinPoset:

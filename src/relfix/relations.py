@@ -103,8 +103,11 @@ def rows_to_masks(rows: np.ndarray) -> list[int]:
 
 
 def rows_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inclusion of packed masks, row against row (the rows broadcast); the
-    F-ordered intermediate keeps the byte reduction fast on any layout."""
+    """Inclusion of packed masks, row against row (the rows broadcast): as one
+    word per row on rows of 2, 4 or 8 bytes, else byte by byte in F order."""
+    if (k := a.shape[-1]) in (2, 4, 8):
+        a, b = ((r if r.strides[-1] == 1 else r.copy()).view(f"u{k}")[..., 0] for r in (a, b))
+        return (a & ~b) == 0
     return ~np.bitwise_and(a, ~b, order="F").any(axis=-1)
 
 

@@ -699,36 +699,79 @@ def test_law_morphisms_are_is_rel_morphism_on_the_corpus():
         assert functor._morphisms(x, y).tolist() == want
 
 
-@pytest.mark.parametrize("f", [LAZY, STREAM, REFLEX], ids=["lazy_nat", "streams", "reflexive"])
-def test_the_law_checker_acts_once_per_block_and_argument_type(f, monkeypatch):
-    # the default action makes one top-level eval_maps call per law block
-    # and argument type: one in an identity, monotonicity or relational
-    # block, three in a composition block; the blocks are the tuples run()
-    # draws from itertools.product
-    blocks = {}
-
-    def product(posets, repeat):
-        for ps in itertools.product(posets, repeat=repeat):
-            blocks[repeat] = blocks.get(repeat, 0) + 1
-            yield ps
-
+def _top_level_eval_maps(monkeypatch):
+    """Record every top-level eval_maps call of the law checker (not the
+    calls eval_maps makes on subexpressions): (fneg, fpos, result)."""
     calls, depth = [], [0]
     inner = functor.eval_maps
 
-    def counted(*args):
-        calls.append(depth[0] == 0)
+    def counted(g, fneg, fpos, caps=DEFAULT_CAPS):
         depth[0] += 1
         try:
-            return inner(*args)
+            out = inner(g, fneg, fpos, caps)
         finally:
             depth[0] -= 1
+        if depth[0] == 0:
+            calls.append((fneg, fpos, out))
+        return out
+
+    monkeypatch.setattr(functor, "eval_maps", counted)
+    return calls
+
+
+@pytest.mark.parametrize("f", [LAZY, STREAM, REFLEX], ids=["lazy_nat", "streams", "reflexive"])
+def test_the_law_checker_acts_once_per_block_and_argument_type(f, monkeypatch):
+    # the default action makes one top-level eval_maps call per argument
+    # type, not per block: a type is a pair (neg, pos) of (dom, cod) poset
+    # pairs, and its table serves every law that uses it.  The identity law
+    # acts through eval_map in its recheck, once per block.  The blocks are
+    # the tuples run() draws from itertools.product, law by law.
+    laws = []
+
+    def product(posets, repeat):
+        laws.append([])
+        for ps in itertools.product(posets, repeat=repeat):
+            laws[-1].append(ps)
+            yield ps
 
     monkeypatch.setattr(functor, "itertools", SimpleNamespace(product=product))
-    monkeypatch.setattr(functor, "eval_maps", counted)
+    calls = _top_level_eval_maps(monkeypatch)
     report = check_functor_laws(f, budget=4000)
-    assert report["ok"] and blocks[3] and blocks[4]
-    # blocks[2] counts the identity and the monotonicity blocks together
-    assert sum(calls) <= blocks[2] + 3 * blocks[3] + blocks[4]
+    identity, composition, monotonicity, relational = laws
+    types = (
+        {((c, a), (a, c)) for a, b, c in composition}
+        | {((b, a), (a, b)) for a, b, c in composition}
+        | {((c, b), (b, c)) for a, b, c in composition}
+        | {((b, a), (a, b)) for a, b in monotonicity}
+        | {((xp, x), (y, yp)) for xp, x, y, yp in relational}
+    )
+    assert report["ok"] and len(composition) == 27 and relational
+    assert len(calls) <= len(identity) + len(types) < len(identity) + 3 * len(composition)
+
+
+@pytest.mark.parametrize("f", [LAZY, STREAM, REFLEX], ids=["lazy_nat", "streams", "reflexive"])
+def test_each_type_table_holds_the_action_on_every_pair_of_its_type(f, monkeypatch):
+    # the checker reads the action on the i-th map of type neg and the j-th
+    # of type pos at row i * (maps of type pos) + j of the type's table:
+    # each row must be eval_map on that one pair
+    calls = _top_level_eval_maps(monkeypatch)
+    check_functor_laws(f, budget=4000)
+    monkeypatch.undo()
+    tables = 0
+    for fneg, fpos, out in calls:
+        negs, poss = monotone_tables(fneg.dom, fneg.cod), monotone_tables(fpos.dom, fpos.cod)
+        if len(fneg.arr) != len(negs) * len(poss):
+            continue  # the identity law's one-row call
+        tables += 1
+        assert fneg.arr.tolist() == np.repeat(negs, len(poss), 0).tolist()
+        assert fpos.arr.tolist() == np.tile(poss, (len(negs), 1)).tolist()
+        rows = np.broadcast_to(out.arr, (len(fneg.arr), out.dom.n))
+        for row, neg, pos in zip(rows, fneg.arr, fpos.arr):
+            one_pair = eval_map(f, MonotoneMap(fneg.dom, fneg.cod, neg),
+                                MonotoneMap(fpos.dom, fpos.cod, pos))
+            assert (out.dom, out.cod) == (one_pair.dom, one_pair.cod)
+            assert row.tolist() == list(one_pair.table)
+    assert tables >= 16
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,7 @@ from relfix.poset import (
     vee,
 )
 from relfix.relations import BinRel, admissible_masks, diagonal, inverse_image
-from relfix.suites import _all_idempotents, diamond
+from relfix.suites import _all_idempotents, diamond, karoubi_suite
 
 C2 = chain_poset(2)
 C3 = chain_poset(3)
@@ -306,6 +306,59 @@ def test_batch_hat_action_is_the_scalar_composite_row_by_row(f):
                 rejected += 1
                 break
     assert rejected > 200
+
+
+OBJS = [KaroubiObj(d, p) for d in small_pointed_posets() for p in _all_idempotents(d)]
+
+
+@pytest.fixture(scope="module")
+def suite_checks():
+    return karoubi_suite()["checks"]
+
+
+def test_hat_laws_match_the_per_triple_loop(suite_checks):
+    # the per-triple form as the oracle: one hat_action call per triple
+    # (a, b, c) of the first ten objects, on the first three homs a -> b and
+    # b -> c
+    f = Lift(Var())
+    ok = all(hat_functor_mor(f, a.p.mor, a, a).is_identity() for a in OBJS)
+    instances, top = len(OBJS), list(enumerate(OBJS[:10]))
+    hats = {}
+    for (i, a), (j, b) in itertools.product(top, repeat=2):
+        rows = karoubi_hom_tables(a, b)[:3]
+        hats[i, j] = rows, hat_action(f, rows, a, b)
+    for (i, a), (j, b), (k, c) in itertools.product(top, repeat=3):
+        if a.X.n + b.X.n + c.X.n <= 7:
+            (g1, hat_g1), (g2, hat_g2) = hats[i, j], hats[j, k]
+            instances += len(g1) * len(g2)
+            hat_gf = hat_action(f, g2[:, g1].reshape(-1, a.X.n), a, c)
+            ok &= bool((hat_gf == hat_g2[:, hat_g1].reshape(len(hat_gf), -1)).all())
+    assert ok and suite_checks["hat_laws"] == {"instances": instances, "ok": ok}
+
+
+def test_pointed_homs_match_the_per_pair_loop(suite_checks):
+    # the per-pair form as the oracle: the homs and the bottom hom of one
+    # ordered pair of objects at a time
+    pairs = [(a, b) for a, b in itertools.product(OBJS, repeat=2) if a.X.n * b.X.n <= 9]
+    ok = True
+    for a, b in pairs:
+        homs, bot = karoubi_hom_tables(a, b), karoubi_bottom_hom(a, b).arr
+        ok &= bool((homs == bot).all(axis=1).any() and b.X.leq[bot, homs].all())
+    assert ok and suite_checks["pointed_homs"] == {"instances": len(pairs), "ok": ok}
+
+
+def test_stacked_envelope_condition_is_the_one_map_check():
+    # _envelope decides every (p, q) pair of a carrier pair at once;
+    # karoubi_hom_check decides one map of one pair
+    groups = itertools.groupby(OBJS, key=lambda a: a.X)
+    groups = [(x, list(objs)) for x, objs in groups]
+    for (x, xs), (y, ys) in itertools.product(groups, repeat=2):
+        t = monotone_tables(x, y)
+        env = karoubi._envelope(t, *(np.array([a.p.mor.arr for a in g]) for g in (xs, ys)))
+        assert env.shape == (len(xs), len(ys), len(t))
+        for (i, a), (j, b) in itertools.product(enumerate(xs), enumerate(ys)):
+            want = [karoubi_hom_check(MonotoneMap(x, y, row), a, b) for row in t]
+            assert env[i, j].tolist() == want
 
 
 def test_hat_functor_rejects_mixed_variance():

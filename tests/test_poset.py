@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -29,12 +30,14 @@ from relfix.poset import (
     identity_map,
     lift,
     monotone_map,
+    monotone_tables,
     monotonicity_witness,
     one,
     _heights,
     product,
     small_pointed_posets,
     sum_sep,
+    table_positions,
     validate_poset,
     vee,
 )
@@ -257,6 +260,19 @@ def test_monotone_map_count_between_chains_matches_binomial():
 def test_enumerate_monotone_maps_is_lexicographic():
     tables = list(enumerate_monotone_maps(chain_poset(2), chain_poset(2)))
     assert tables == [(0, 0), (0, 1), (1, 1)]
+
+
+def test_table_positions_find_every_monotone_table_and_no_other():
+    corpus = small_pointed_posets() + [chain_poset(4)]
+    for x in corpus:
+        for y in corpus:
+            tables = monotone_tables(x, y)
+            assert table_positions(x, y, tables).tolist() == list(range(len(tables)))
+            every = np.array(list(itertools.product(range(y.n), repeat=x.n)))
+            got = table_positions(x, y, every[None])[0]
+            monotone = [monotonicity_witness(x, y, t) is None for t in every]
+            assert ((got >= 0) == monotone).all()
+            assert (tables[got[monotone]] == every[monotone]).all()
 
 
 def test_enumerate_monotone_maps_respects_the_cap():

@@ -251,6 +251,27 @@ def test_batch_images_match_the_scalar_ones_row_by_row(case):
         ]
 
 
+@given(st.integers(1, 9), st.data())
+def test_rows_le_is_mask_inclusion_at_every_row_width(width, data):
+    # rows of 2, 4 and 8 bytes are compared as words, the others byte by
+    # byte; each layout must give (a | b) == b: broadcast rows, rows whose
+    # last axis is strided, rows at an odd byte offset, and F-ordered rows
+    masks = data.draw(st.lists(st.integers(0, (1 << 8 * width) - 1), min_size=1, max_size=6))
+    masks += [masks[0] | m for m in masks]
+    n, rows = len(masks), masks_to_rows(masks, 8 * width)
+    want = [[(a | b) == b for b in masks] for a in masks]
+    strided = np.zeros((n, 2 * width), dtype=np.uint8)
+    strided[:, ::2] = rows
+    shifted = np.zeros((n, width + 1), dtype=np.uint8)
+    shifted[:, 1:] = rows
+    for view in (rows, strided[:, ::2], shifted[:, 1:], np.asfortranarray(rows)):
+        assert rows_le(view[:, None], rows[None, :]).tolist() == want
+        assert rows_le(rows[:, None], view[None, :]).tolist() == want
+        grid = np.broadcast_to(view[:, None], (n, n, width))
+        assert rows_le(grid, np.broadcast_to(view[None, :], (n, n, width))).tolist() == want
+        assert rows_le(view, view).all()
+
+
 @given(batch_cases(), st.integers(0, 255))
 def test_batch_images_are_c_rows_that_ignore_bits_above_the_width(case, junk):
     _, pt, dom, cod = case

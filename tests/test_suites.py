@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from relfix.chain import build_chain
 from relfix.cofe import check_contractive
 from relfix.engines import psi_step
+from relfix.poset import monotone_tables, table_positions
+from relfix.relations import admissible_rows, pair_table
 from relfix.suites import (
+    _all_maps,
     all_suites,
     canonical_specs,
     contractive_suite,
@@ -112,6 +116,23 @@ def test_lemma2_instance_counts_match_their_closed_forms():
     assert report["ok"] is True
     got = {k: v["instances"] for k, v in report["properties"].items()}
     assert got == want
+
+
+def test_composition_transpose_matches_the_per_pair_loop():
+    # the per-pair form as the oracle, one (f, g) pair at a time: the suite
+    # must give its count and verdict, and look up g @ f for each
+    count, ok = 0, True
+    for x, y, z in itertools.product(small_pointed_posets(), repeat=3):
+        rows = admissible_rows(z)[1]
+        at = table_positions(x, z, monotone_tables(y, z)[:, monotone_tables(x, y)])
+        fs, gs = enumerate(_all_maps(x, y)), list(enumerate(_all_maps(y, z)))
+        for (i, f), (j, g) in itertools.product(fs, gs):
+            assert monotone_tables(x, z)[at[j, i]].tolist() == (g @ f).arr.tolist()
+            count += len(rows)
+            by_g = pair_table(f).pull_rows(pair_table(g).pull_rows(rows))
+            ok &= np.array_equal(pair_table(g @ f).pull_rows(rows), by_g)
+    got = lemma2_suite()["properties"]["composition_transpose"]
+    assert ok and got == {"instances": count, "ok": ok}
 
 
 def test_contractive_suite_counts_and_identity_fixture():
