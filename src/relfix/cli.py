@@ -165,13 +165,18 @@ def cmd_solve(args) -> int:
 
 
 def cmd_relate(args) -> int:
+    def timed(key: str, seconds: float) -> None:
+        print(f"relate[{key}]: {seconds:.3f}s", file=sys.stderr)
+
     spec, depth, caps, seed = _load_spec(args)
     t0 = time.monotonic()
     before = dict(rel_cache_counts)
     wide_table_counts.update(tables=0, runs=0, largest=(0, 0))
     chain = build_chain(spec.functor, depth, caps)
+    if args.timings:
+        timed("build", time.monotonic() - t0)
     if args.method == "all":
-        result = compare_methods(chain)
+        result = compare_methods(chain, on_phase=timed if args.timings else None)
     elif args.method == "kt":
         (neg, pos), iterations = solve_knaster_tarski(chain)
         result = {
@@ -195,7 +200,7 @@ def cmd_relate(args) -> int:
         }
     result["sizes"] = [p.n for p in chain.levels]
     if args.timings:
-        print(f"relate[{args.method}]: {time.monotonic() - t0:.3f}s", file=sys.stderr)
+        timed(args.method, time.monotonic() - t0)
         calls, hits = (rel_cache_counts[k] - before[k] for k in ("calls", "hits"))
         print(f"eval_rel: {calls} calls, {hits} answered by the chain's table, "
               f"{len(chain.rel_table)} entries", file=sys.stderr)

@@ -20,6 +20,8 @@ into a diagnosable failure.
 
 from __future__ import annotations
 
+import time
+
 from .chain import (
     DomainChain,
     RelFamily,
@@ -51,9 +53,9 @@ __all__ = [
 def _psi(chain: DomainChain, neg: RelFamily, pos: RelFamily) -> RelFamily:
     """The levelwise operator: level 0 is the total relation on the
     one-point poset, level m+1 is eval_rel(F, neg[m], pos[m])."""
+    f, caps, table = chain.functor, chain.caps, chain.rel_table
     rels = [total_rel(chain.levels[0])]
-    for m in range(chain.depth):
-        rels.append(eval_rel(chain.functor, neg[m], pos[m], chain.caps, chain.rel_table))
+    rels += [eval_rel(f, n, p, caps, table) for n, p in zip(neg.rels[:-1], pos.rels)]
     return RelFamily(tuple(rels), chain)
 
 
@@ -180,7 +182,16 @@ def check_uniform(chain: DomainChain, rel: BinRel) -> tuple[bool, dict | None]:
     return True, None
 
 
-def compare_methods(chain: DomainChain) -> dict:
+def _agree(a: RelFamily, b: RelFamily, message: str, methods: tuple) -> None:
+    """Raise MethodDisagreement at the first level where a and b differ."""
+    for m, (ra, rb) in enumerate(zip(a.rels, b.rels)):
+        if ra != rb:
+            raise MethodDisagreement(
+                message, methods=methods, level=m, difference=sorted(ra.pairs ^ rb.pairs)[:5]
+            )
+
+
+def compare_methods(chain: DomainChain, on_phase=None) -> dict:
     """Run all three engines and check they agree.
 
     Asserts levelwise set equality of the three families (plus a second
@@ -188,12 +199,25 @@ def compare_methods(chain: DomainChain) -> dict:
     fixed-point equation R_{n+1} = eval_rel(F, R_n, R_n) for the agreed
     family.  The returned report carries JSON-ready fields; keys starting
     with an underscore hold the raw objects and are stripped before
-    serialization.
+    serialization.  on_phase(name, seconds), if given, is called after
+    each phase with its wall time: kt, kleene, banach, banach_from_bottom,
+    gluing (with the levelwise agreement check), unfolding and uniform.
     """
+    marks = [time.monotonic()]
+
+    def done(name: str) -> None:
+        marks.append(time.monotonic())
+        if on_phase is not None:
+            on_phase(name, marks[-1] - marks[-2])
+
     (_, kt_pos), kt_iterations = solve_knaster_tarski(chain)
+    done("kt")
     kleene = solve_kleene(chain)
+    done("kleene")
     banach, profile = solve_banach(chain)
+    done("banach")
     banach_low, _ = solve_banach(chain, start=bottom_family(chain))
+    done("banach_from_bottom")
 
     families = {
         "knaster_tarski": kt_pos,
@@ -203,15 +227,7 @@ def compare_methods(chain: DomainChain) -> dict:
     }
     names = list(families)
     for other in names[1:]:
-        a, b = families[names[0]], families[other]
-        for m in range(chain.depth + 1):
-            if a[m] != b[m]:
-                raise MethodDisagreement(
-                    "engines disagree",
-                    methods=(names[0], other),
-                    level=m,
-                    difference=sorted(a[m].pairs ^ b[m].pairs)[:5],
-                )
+        _agree(families[names[0]], families[other], "engines disagree", (names[0], other))
     glued = {name: glue_family(chain, fam) for name, fam in families.items()}
     for other in names[1:]:
         if glued[names[0]] != glued[other]:
@@ -220,16 +236,11 @@ def compare_methods(chain: DomainChain) -> dict:
                 methods=(names[0], other),
                 difference=sorted(glued[names[0]].pairs ^ glued[other].pairs)[:5],
             )
-    unfolded = psi_step(chain, kleene)
-    for m in range(chain.depth + 1):
-        if unfolded[m] != kleene[m]:
-            raise MethodDisagreement(
-                "fixed-point equation fails",
-                methods=("unfolding",),
-                level=m,
-                difference=sorted(unfolded[m].pairs ^ kleene[m].pairs)[:5],
-            )
+    done("gluing")
+    _agree(psi_step(chain, kleene), kleene, "fixed-point equation fails", ("unfolding",))
+    done("unfolding")
     uniform, uniform_witness = check_uniform(chain, glued["kleene"])
+    done("uniform")
     return {
         "functor": to_src(chain.functor),
         "depth": chain.depth,

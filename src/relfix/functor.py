@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +103,13 @@ class FunctorExpr:
 
     def __str__(self) -> str:
         return to_src(self)
+
+    @cached_property
+    def reads(self) -> tuple[bool, bool]:
+        """Whether it reads its negative and its positive relation, kept on
+        the node: an lru_cache would hash the whole tree on every lookup."""
+        polarities = var_polarities(self)
+        return -1 in polarities, 1 in polarities
 
 
 @dataclass(frozen=True)
@@ -466,13 +473,6 @@ def eval_ep(f: FunctorExpr, ep: EpPair, caps: Caps = DEFAULT_CAPS) -> EpPair:
 rel_cache_counts = {"calls": 0, "hits": 0}
 
 
-@lru_cache(maxsize=None)
-def _reads(f: FunctorExpr) -> tuple[bool, bool]:
-    """Whether f reads its negative and its positive relation."""
-    polarities = var_polarities(f)
-    return -1 in polarities, 1 in polarities
-
-
 def eval_rel(
     f: FunctorExpr,
     rneg: BinRel | None,
@@ -495,11 +495,11 @@ def eval_rel(
                 "relational action needs admissible inputs", functor=to_src(f)
             )
     rel_cache_counts["calls"] += 1
-    neg, pos = _reads(f)
+    neg, pos = f.reads
     key = (rneg if neg else None, spos if pos else None)
-    if table is not None and key in table:
+    if table is not None and (out := table.get(key)) is not None:
         rel_cache_counts["hits"] += 1
-        return table[key]
+        return out
     out = _eval_rel(f, rneg, spos, caps)
     if not is_admissible(out):
         raise InternalInvariantViolation(

@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import hashlib
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -108,10 +109,13 @@ class FinPoset:
 
     @cached_property
     def _key(self) -> tuple:
-        return (self.n, self.bottom, self.leq.tobytes())
+        """A 16-byte digest in place of a second copy of the order matrix."""
+        digest = hashlib.blake2b(np.ascontiguousarray(self.leq), digest_size=16).digest()
+        return (self.n, self.bottom, digest)
 
     def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, FinPoset) and self._key == other._key)
+        return self is other or (isinstance(other, FinPoset) and self._key == other._key
+                                 and self.leq.tobytes() == other.leq.tobytes())
 
     def __hash__(self) -> int:
         return hash(self._key)

@@ -10,9 +10,12 @@ upward are the pairs in (x, y) order.  This module is the only one that
 knows that layout.  Everything else goes through BinRel, whose pairs,
 matrix, sorted_pairs and len are views of the mask, and through
 PairTable, the action of an element map on pair bits: pull is the
-inverse image and push the direct image.  On wide masks both work
-through the table's image: along a run o, o+1, ..., each is one block
+inverse image and push the direct image, each worked on Python ints or
+through numpy by the widths _INT_MAX_BITS gives.  Numpy works through
+the table's image: along a run o, o+1, ..., pull and push are one block
 slice, and any other pull gathers the columns on the image rows only.
+Lift injections are runs; sum injections need not be, as ids follow
+heights: into sum(const(chain(2), diag), X_2) inl is [1, 3].
 
 A batch of masks is one 2-D uint8 array of packed rows, row i holding
 mask i in the little-endian layout of one packed mask (bit q in byte
@@ -59,20 +62,19 @@ __all__ = [
     "wide_table_counts",
 ]
 
-# Masks of at most this many bits (n*n on an n-element carrier) are worked
-# bit by bit as Python ints; wider ones go through numpy (unpackbits, then
-# a gather or scatter, then packbits), because the int loop shifts the
-# whole mask once per bit and so grows quadratically with the width.  The
-# same bound chooses the batch path of a pair table: byte lookup tables
-# when both of its masks are this narrow, else one row at a time.
-# Measured with Python 3.11.7 and numpy 2.4.6 on a 2-vCPU VM, one call
-# along an n-element table at n = 7, 8, 9, 10 (int / numpy, us, timeit
-# minimum of 7 x 2000, best of four runs):
-#   pull: 6.2 / 6.2, 9.6 / 6.2, 10.8 / 7.4, 13.6 / 5.5
-#   push: 5.7 / 9.7, 10.2 / 11.0, 11.6 / 11.0, 11.9 / 10.1
-# Numpy wins pull from 64 bits but push only from about 81 bits, along
-# injective and non-injective tables alike, and narrow pushes outnumber
-# narrow pulls: 240 to 36 in one round of the relate_deep benchmark.
+# Pair masks of at most this many bits (n*n on an n-element carrier) are
+# narrow.  pull loops over the bits of a Python int when both of its masks
+# are narrow, else goes through numpy (unpackbits, gather, packbits): the
+# loop shifts the whole mask once per bit.  push picks by its domain alone:
+# from a narrow one it ORs one looked-up image row per domain row, at most
+# 9 shifts where numpy unpacks, zeroes and packs all ky*ky bits.  Narrow
+# tables map batches through byte lookup tables.  Python 3.11.7, numpy
+# 2.4.6, 2-vCPU VM, us (timeit minimum), int or rows / numpy:
+#   pull along n = 7, 8, 9, 10: 6.2/6.2, 9.6/6.2, 10.8/7.4, 13.6/5.5
+#   push of 1 or kx*kx bits along a run at the bottom or top of ky = 11, 81, 401:
+#     kx = 1: 0.20-0.23/4.2-4.3, 0.20-0.24/5.5-5.7, 0.20-0.39/28.7-31.1
+#     kx = 3: 0.35-0.39/4.3-4.5, 0.37-0.44/5.5-5.8, 0.38-0.61/29.6-37.9
+#     kx = 9: 0.94-1.32/4.3-4.3, 0.99-1.33/5.4-5.6, 1.03-1.69/29.4-31.6
 _INT_MAX_BITS = 81
 
 # Wide pair tables built, how many are runs, and the largest (kx, ky) by kx * ky.
@@ -203,14 +205,20 @@ class PairTable:
     set) has run = o when it is o, o+1, ..., o+kx-1; any other has its
     image (v, inv): its distinct values ascending, with arr == v[inv]."""
 
-    __slots__ = ("kx", "ky", "arr", "run", "image", "_index", "_luts")
+    __slots__ = ("kx", "ky", "arr", "run", "image", "_index", "_luts", "_rows")
 
     def __init__(self, table: Sequence[int] | np.ndarray, ky: int):
         table = np.asarray(table, dtype=np.int64)
         self.kx = kx = len(table)
         self.ky = ky
-        self.arr = self.run = self.image = self._index = None
+        self.arr = self.run = self.image = self._index = self._rows = None
         self._luts = {}
+        if kx * kx <= _INT_MAX_BITS:  # push's rows, relative to bit lo*ky + lo
+            t = table.tolist()
+            lo, cols = min(t, default=0), [0]
+            for v in t:  # cols[row]: the image columns of a kx-bit row
+                cols += [c | 1 << (v - lo) for c in cols]
+            self._rows = cols, [(v - lo) * ky for v in t], lo * (ky + 1)
         if max(kx, ky) ** 2 > _INT_MAX_BITS:
             a = self.arr = table
             if a[-1] - a[0] == kx - 1 and (np.diff(a) == 1).all():
@@ -272,30 +280,30 @@ class PairTable:
         return out
 
     def push(self, mask: int) -> int:
-        """The image bits of the set bits of mask."""
-        if self.arr is not None:
-            a, kx, ky, o = self.arr, self.kx, self.ky, self.run
-            bits = _unpack(mask, kx * kx).reshape(kx, kx)
-            out = np.zeros((ky, ky), dtype=bool)
-            if o is not None:
-                out[o : o + kx, o : o + kx] = bits
-            elif len(self.image[0]) == kx:
-                # distinct pairs land on distinct pairs: scatter the columns,
-                # then the rows, along the table; no kx*kx index is built
-                half = np.zeros((kx, ky), dtype=bool)
-                half[:, a] = bits
-                out[a] = half
-            else:
-                x, y = np.nonzero(bits)
-                out[a[x], a[y]] = True
-            return _pack(out)
-        index = self._index
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << index[low.bit_length() - 1]
-            mask ^= low
-        return out
+        """The image bits of the set bits of mask (bits above kx*kx in its
+        last byte are not part of it)."""
+        if self._rows is not None:
+            cols, shifts, base = self._rows
+            kx, row, out = self.kx, (1 << self.kx) - 1, 0
+            for s in shifts:
+                out |= cols[mask & row] << s
+                mask >>= kx
+            return out << base
+        a, kx, ky, o = self.arr, self.kx, self.ky, self.run
+        bits = _unpack(mask, kx * kx).reshape(kx, kx)
+        out = np.zeros((ky, ky), dtype=bool)
+        if o is not None:
+            out[o : o + kx, o : o + kx] = bits
+        elif len(self.image[0]) == kx:
+            # distinct pairs land on distinct pairs: scatter the columns,
+            # then the rows, along the table; no kx*kx index is built
+            half = np.zeros((kx, ky), dtype=bool)
+            half[:, a] = bits
+            out[a] = half
+        else:
+            x, y = np.nonzero(bits)
+            out[a[x], a[y]] = True
+        return _pack(out)
 
 
 @lru_cache(maxsize=None)

@@ -308,17 +308,35 @@ def test_timings_go_to_stderr_only():
     assert timed.stdout == plain.stdout
     assert plain.stderr == ""
     lines = timed.stderr.splitlines()
+    phases = ["build", "kt", "kleene", "banach", "banach_from_bottom", "gluing", "unfolding",
+              "uniform", "all"]
     assert [line.split(":")[0] for line in lines] == [
-        "relate[all]", "eval_rel", "pair_tables", "report"
+        *(f"relate[{p}]" for p in phases), "eval_rel", "pair_tables", "report"
     ]
     _assert_report_line(timed)
     m = re.fullmatch(
-        r"eval_rel: (\d+) calls, (\d+) answered by the chain's table, (\d+) entries", lines[1]
+        r"eval_rel: (\d+) calls, (\d+) answered by the chain's table, (\d+) entries", lines[-3]
     )
     assert m is not None, lines[1]
     calls, hits, entries = map(int, m.groups())
     assert 0 < hits < calls
     assert entries == calls - hits  # every other call stored its answer
+
+
+@pytest.mark.parametrize("method", ["all", "kt", "kleene", "banach"])
+def test_relate_timings_leave_the_report_bytes_alone(tmp_path, method):
+    # the phases are timed on every method; the report file is the same
+    spec = str(SPECS / "streams.spec")
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert run_cli("relate", "--spec", spec, "--method", method, "--report", str(plain)).returncode == 0
+    proc = run_cli("relate", "--spec", spec, "--method", method, "--report", str(timed), "--timings")
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert timed.read_bytes() == plain.read_bytes()
+    names = [line.split(":")[0] for line in proc.stderr.splitlines()]
+    assert names[0] == "relate[build]" and f"relate[{method}]" in names
+    for line in proc.stderr.splitlines():
+        if line.startswith("relate["):
+            assert re.fullmatch(r"relate\[\w+\]: \d+\.\d{3}s", line), line
 
 
 def test_relate_timings_count_the_wide_pair_tables():

@@ -131,6 +131,17 @@ def test_equal_but_distinct_posets_compare_and_hash_equal():
     assert {a: 1}[b] == 1
 
 
+def test_poset_keys_are_digests_and_equality_compares_the_orders():
+    # the key holds 16 bytes whatever n is, not a second copy of the order
+    # matrix; a forged digest match still compares the matrices themselves
+    big = chain_poset(40)
+    assert big._key == (40, 0, big._key[2]) and len(big._key[2]) == 16
+    a, b = chain_poset(3), validate_poset(3, [(0, 1), (0, 2)], 0)
+    assert a._key != b._key
+    b.__dict__["_key"] = a._key
+    assert hash(a) == hash(b) and a != b and b != a
+
+
 @given(pointed_posets())
 def test_random_posets_satisfy_the_axioms(p: FinPoset):
     for i in range(p.n):

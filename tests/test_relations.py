@@ -19,6 +19,7 @@ from relfix.cofe import (
     enumerate_uniform_masks,
     uniform_space_size,
 )
+from relfix import relations
 from relfix.errors import InadmissibleRelation, TypeMismatch
 from relfix.functor import One, SumSep, Var
 from relfix.poset import chain_poset, monotone_map
@@ -290,14 +291,38 @@ def test_batch_images_are_c_rows_that_ignore_bits_above_the_width(case, junk):
         assert np.array_equal(rows_of(padded), out)
 
 
-@given(batch_cases())
-def test_push_is_the_pair_image_on_both_kinds_of_table(case):
+@given(batch_cases(), st.integers(0, 255))
+def test_push_is_the_pair_image_on_both_kinds_of_table(case, junk):
+    # the reference is the pair set {(t[x], t[y]) for (x, y) in R}; set bits
+    # above kx*kx in the mask's last byte are not part of it, on any path
     table, pt, dom, _ = case
+    width = pt.kx * pt.kx
+    pad = (junk & (0xFF << (width - 1) % 8 + 1) & 0xFF) << 8 * ((width - 1) // 8)
     for mask in dom:
-        assert pt.push(mask) == pair_set_images(table, pt.ky, mask, 0)[1]
+        pairs = [divmod(q, pt.kx) for q in range(width) if mask >> q & 1]
+        image = {(table[x], table[y]) for x, y in pairs}
+        want = sum(1 << (a * pt.ky + b) for a, b in image)
+        assert pt.push(mask) == pt.push(mask | pad) == want
         if pt.arr is not None:
             injective = pt.run is not None or len(pt.image[0]) == pt.kx
             assert injective == (len(set(table)) == len(table))
+
+
+def test_push_from_a_narrow_domain_into_a_wide_codomain_skips_numpy(monkeypatch):
+    # a run at the top of the codomain, an injective spread and a
+    # non-injective table, each from at most 9 elements into 41
+    def fail(*args):
+        raise AssertionError("push took the numpy path")
+
+    tables = [list(range(32, 41)), [0, 5, 17, 40], [3, 3, 40], [40]]
+    pts = [PairTable(t, 41) for t in tables]
+    monkeypatch.setattr(relations, "_unpack", fail)
+    monkeypatch.setattr(relations, "_pack", fail)
+    rng = random.Random(41)
+    for t, pt in zip(tables, pts):
+        assert pt.arr is not None
+        for mask in (1, (1 << len(t) ** 2) - 1, rng.getrandbits(len(t) ** 2)):
+            assert pt.push(mask) == pair_set_images(t, 41, mask, 0)[1]
 
 
 @given(batch_cases())
