@@ -1,12 +1,14 @@
 """Command line entry points.
 
-    relfix solve   --spec FILE [--depth N] [--max-size K] [--emit-dot DIR]
-    relfix relate  --spec FILE [--method kt|banach|kleene|all] [--depth N]
-    relfix karoubi --poset LITERAL
-    relfix check   --suite NAME
+    relfix solve   --spec FILE [--depth N] [--max-size N] [--emit-dot DIR] [--seed N] [--report FILE] [--timings]
+    relfix relate  --spec FILE [--depth N] [--max-size N] [--method kt|banach|kleene|all] [--seed N] [--report FILE] [--timings]
+    relfix karoubi --poset EXPR [--seed N] [--report FILE] [--timings]
+    relfix check   --suite adjunction|contractive|duality|functor_laws|karoubi|lemma2|all|corrupted [--seed N] [--report FILE] [--timings]
 
-Shared flags: --seed S, --report FILE, --timings.  Exit codes: 0 ok,
-1 verification failure, 2 usage or parse trouble, 3 resource cap.
+A flag is `--flag value` or `--flag=value`, may be shortened to a unique
+prefix and takes a value even if it starts with `-`; the last repeat
+wins.  -h/--help prints the lines above.  Exit codes: 0 ok, 1 verification
+failure, 2 usage or parse trouble, 3 resource cap.
 Reports are canonical JSON (sorted keys, trailing newline) and contain
 no timing data; --timings prints wall times to stderr only (the report's
 own size and write time last), so reports stay byte-identical for
@@ -17,10 +19,10 @@ defaults.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .chain import build_chain, truncation_projections
 from .config import Caps
@@ -55,58 +57,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="relfix",
-        description="workbench for relational structures over recursive domain equations",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, spec=False, poset=False, suite=False, method=False, dot=False):
-        if spec:
-            p.add_argument("--spec", required=True, help="spec file (DSL)")
-            p.add_argument("--depth", type=int, help="override spec depth")
-            p.add_argument(
-                "--max-size",
-                type=int,
-                dest="max_size",
-                help="override the carrier-size cap",
-            )
-        if poset:
-            p.add_argument(
-                "--poset", required=True, help="poset literal, e.g. chain(3)"
-            )
-        if suite:
-            p.add_argument(
-                "--suite",
-                required=True,
-                choices=sorted(all_suites()) + ["all", "corrupted"],
-            )
-        if method:
-            p.add_argument(
-                "--method",
-                choices=["kt", "banach", "kleene", "all"],
-                default="all",
-            )
-        if dot:
-            p.add_argument(
-                "--emit-dot", dest="emit_dot", help="directory for Hasse DOT files"
-            )
-        p.add_argument("--seed", type=int, help="recorded in the report")
-        p.add_argument("--report", help="write the JSON report here")
-        p.add_argument(
-            "--timings",
-            action="store_true",
-            help="print wall times to stderr (never in reports)",
-        )
-
-    common(sub.add_parser("solve", help="build the chain and verify it"), spec=True, dot=True)
-    common(sub.add_parser("relate", help="solve the relation by fixed point"), spec=True, method=True)
-    common(sub.add_parser("karoubi", help="idempotent structure of a poset"), poset=True)
-    common(sub.add_parser("check", help="run a property suite"), suite=True)
-    return top
 
 
 def _load_spec(args):
@@ -255,16 +205,73 @@ def cmd_check(args) -> int:
     return EXIT_OK if result["ok"] else EXIT_VERIFICATION
 
 
+# flag: (destination, type, choices, default); a bool flag is a switch
+_FLAGS = {
+    "--spec": ("spec", str, None, None),
+    "--depth": ("depth", int, None, None),
+    "--max-size": ("max_size", int, None, None),
+    "--emit-dot": ("emit_dot", str, None, None),
+    "--method": ("method", str, ("kt", "banach", "kleene", "all"), "all"),
+    "--poset": ("poset", str, None, None),
+    "--suite": ("suite", str, (*sorted(all_suites()), "all", "corrupted"), None),
+    "--seed": ("seed", int, None, None),
+    "--report": ("report", str, None, None),
+    "--timings": ("timings", bool, None, False),
+    "--help": ("help", bool, None, False),
+}
+_SHARED = ("--seed", "--report", "--timings", "--help")
+_COMMANDS = {  # command: (handler, required flags, optional flags), then _SHARED
+    "solve": (cmd_solve, ("--spec",), ("--depth", "--max-size", "--emit-dot")),
+    "relate": (cmd_relate, ("--spec",), ("--depth", "--max-size", "--method")),
+    "karoubi": (cmd_karoubi, ("--poset",), ()),
+    "check": (cmd_check, ("--suite",), ()),
+}
+USAGE = "".join(line[4:] + "\n" for line in (__doc__ or "").splitlines() if line.startswith("    relfix "))
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}relfix: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and flag values of argv, by the rules in the module docstring."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    _, required, optional = _COMMANDS.get(command, (None, (), ()))
+    names = (*required, *optional, *_SHARED) if command else ("--help",)
+    args = SimpleNamespace(command=command, **{_FLAGS[f][0]: _FLAGS[f][3] for f in names})
+    words = iter(argv[1:] if command else argv)
+    for word in words:
+        name, eq, value = ("--help" if word == "-h" else word).partition("=")
+        hits = [f for f in names if f.startswith(name)] if len(name) > 2 else []
+        if len(hits) != 1:
+            _usage_error(f"ambiguous option: {name} could match {', '.join(hits)}"
+                         if hits else f"unrecognized argument: {word}")
+        flag, (dest, kind, choices, _) = hits[0], _FLAGS[hits[0]]
+        if kind is bool and eq:
+            _usage_error(f"argument {flag}: ignored explicit argument {value!r}")
+        if flag == "--help":
+            sys.stdout.write(USAGE)
+            raise SystemExit(EXIT_OK)
+        if kind is not bool and not eq and (value := next(words, None)) is None:
+            _usage_error(f"argument {flag}: expected one argument")
+        try:
+            value = True if kind is bool else kind(value)
+        except ValueError:
+            _usage_error(f"argument {flag}: invalid int value: {value!r}")
+        if choices and value not in choices:
+            _usage_error(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(choices)})")
+        setattr(args, dest, value)
+    missing = [f for f in required if getattr(args, _FLAGS[f][0]) is None]
+    if command is None or missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing) or 'command'}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "solve": cmd_solve,
-        "relate": cmd_relate,
-        "karoubi": cmd_karoubi,
-        "check": cmd_check,
-    }[args.command]
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return handler(args)
+        return _COMMANDS[args.command][0](args)
     except (ParseError, ResolveError, InadmissibleRelation) as exc:
         print(f"relfix: {exc}", file=sys.stderr)
         return EXIT_USAGE

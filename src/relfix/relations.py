@@ -83,6 +83,8 @@ wide_table_counts = {"tables": 0, "runs": 0, "largest": (0, 0)}
 
 def _unpack(mask: int, width: int) -> np.ndarray:
     """The low `width` bits of mask as a bool array, bit 0 first."""
+    if mask.bit_length() > width:  # a one-word test; masking copies the int
+        mask &= (1 << width) - 1
     raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=width, bitorder="little").view(bool)
 
@@ -280,8 +282,8 @@ class PairTable:
         return out
 
     def push(self, mask: int) -> int:
-        """The image bits of the set bits of mask (bits above kx*kx in its
-        last byte are not part of it)."""
+        """The image bits of the set bits of mask (bits above kx*kx are not
+        part of it)."""
         if self._rows is not None:
             cols, shifts, base = self._rows
             kx, row, out = self.kx, (1 << self.kx) - 1, 0

@@ -6,6 +6,7 @@ output (after an intentional format change), then inspect the diff.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -381,3 +382,116 @@ def test_check_timings_count_the_hom_table_cache():
     assert m is not None, lines[1]
     # each hom-set is enumerated once and then served from the cache
     assert 0 < int(m.group(1)) < int(m.group(2))
+
+
+LAZY = str(SPECS / "lazy_nat.spec")
+
+
+@functools.lru_cache(maxsize=None)
+def _usage():
+    proc = run_cli("--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("frobnicate",),
+        ("--seed", "1", "relate"),
+        ("relate", "--spec", LAZY, "--bogus"),
+        ("relate", "--spec", LAZY, "extra"),
+        ("relate", "--spec"),
+        ("relate", "--depth", "2"),
+        ("relate", "--spec", LAZY, "--depth", "two"),
+        ("relate", "--spec", LAZY, "--method", "fastest"),
+        ("check", "--suite", "nope"),
+        ("solve", "--spec", LAZY, "--method", "kt"),
+        ("relate", "--spec", LAZY, "--timings=yes"),
+        ("relate", "--spec", LAZY, "--m", "kt"),
+        ("relate", "--spec", LAZY, "--s", LAZY),
+    ],
+    ids=["no_command", "unknown_command", "flag_before_command", "unknown_flag",
+         "stray_word", "missing_value", "missing_required", "bad_int", "bad_choice",
+         "bad_suite", "flag_of_another_command", "switch_with_value",
+         "ambiguous_prefix", "ambiguous_prefix_spec_seed"],
+)
+def test_every_misuse_prints_the_usage_and_one_error_and_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    usage = _usage()
+    assert proc.stderr.startswith(usage)
+    error = proc.stderr[len(usage):].splitlines()
+    assert len(error) == 1 and error[0].startswith("relfix: error: "), proc.stderr
+    if "ambiguous" in error[0]:
+        assert args[-2] in error[0]
+
+
+@pytest.mark.parametrize("args", [("--help",), ("-h",), ("--he",), ("relate", "--help"),
+                                  ("check", "-h"), ("karoubi", "--poset", "chain(2)", "--h")])
+def test_help_prints_the_usage_and_exits_0(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == _usage()
+    assert [line.split()[1] for line in proc.stdout.splitlines()] == [
+        "solve", "relate", "karoubi", "check"
+    ]
+
+
+def test_flag_spellings_give_the_same_report_bytes():
+    # `--flag value`, `--flag=value`, a unique prefix, and the last repeat wins
+    want = run_cli("relate", "--spec", LAZY, "--method", "kt", "--depth", "3", "--seed", "5")
+    assert want.returncode == 0, want.stderr
+    for args in [
+        (f"--spec={LAZY}", "--method=kt", "--depth=3", "--seed=5"),
+        ("--spec", LAZY, "--me", "kt", "--dep", "3", "--se", "5"),
+        ("--depth", "9", "--method", "all", "--seed=1", "--spec", LAZY,
+         "--method=kt", "--dep=3", "--seed", "5"),
+    ]:
+        proc = run_cli("relate", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want.stdout
+
+
+def test_the_method_defaults_to_all():
+    assert run_cli("relate", "--spec", LAZY).stdout == run_cli(
+        "relate", "--spec", LAZY, "--method", "all").stdout
+
+
+@pytest.mark.parametrize("depth", [("--depth", "-1"), ("--depth=-1",), ("--dep", "-1")])
+def test_a_value_may_start_with_a_dash(depth):
+    proc = run_cli("relate", "--spec", LAZY, *depth)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "relfix: depth must be nonnegative, got -1\n"
+
+
+def test_a_run_of_each_command_never_imports_argparse():
+    # a fresh interpreter: the test runner itself has argparse loaded
+    code = (
+        "import contextlib, io, sys\n"
+        "from relfix import cli\n"
+        f"runs = [['relate', '--spec', {LAZY!r}], ['check', '--suite', 'lemma2'],\n"
+        "        ['karoubi', '--poset', 'chain(3)']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+        "print(codes, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] []\n"
+
+
+def test_the_readme_synopsis_is_the_usage():
+    from relfix import cli
+
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line tool", 1)[1].split("```")[1]
+    synopsis = [line for line in block.splitlines() if line.startswith("relfix ")]
+    assert len(synopsis) == 4
+    assert synopsis == _usage().splitlines()
+    # the usage names every choice the flag table accepts
+    for flag, line in [("--method", synopsis[1]), ("--suite", synopsis[3])]:
+        words = line.replace("[", " ").replace("]", " ").split()
+        assert words[words.index(flag) + 1] == "|".join(cli._FLAGS[flag][2])

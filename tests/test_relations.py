@@ -291,13 +291,13 @@ def test_batch_images_are_c_rows_that_ignore_bits_above_the_width(case, junk):
         assert np.array_equal(rows_of(padded), out)
 
 
-@given(batch_cases(), st.integers(0, 255))
+@given(batch_cases(), st.integers(1, (1 << 300) - 1))
 def test_push_is_the_pair_image_on_both_kinds_of_table(case, junk):
     # the reference is the pair set {(t[x], t[y]) for (x, y) in R}; set bits
-    # above kx*kx in the mask's last byte are not part of it, on any path
+    # above kx*kx, in the mask's last byte or far past it, are not part of it
     table, pt, dom, _ = case
     width = pt.kx * pt.kx
-    pad = (junk & (0xFF << (width - 1) % 8 + 1) & 0xFF) << 8 * ((width - 1) // 8)
+    pad = junk << width
     for mask in dom:
         pairs = [divmod(q, pt.kx) for q in range(width) if mask >> q & 1]
         image = {(table[x], table[y]) for x, y in pairs}
@@ -325,11 +325,13 @@ def test_push_from_a_narrow_domain_into_a_wide_codomain_skips_numpy(monkeypatch)
             assert pt.push(mask) == pair_set_images(t, 41, mask, 0)[1]
 
 
-@given(batch_cases())
-def test_pull_is_the_pair_preimage_on_every_kind_of_table(case):
+@given(batch_cases(), st.integers(1, (1 << 300) - 1))
+def test_pull_is_the_pair_preimage_on_every_kind_of_table(case, junk):
+    # set bits above ky*ky are not part of the mask, on any path
     table, pt, _, cod = case
+    pad = junk << pt.ky * pt.ky
     for mask in cod:
-        assert pt.pull(mask) == pair_set_images(table, pt.ky, 0, mask)[0]
+        assert pt.pull(mask) == pt.pull(mask | pad) == pair_set_images(table, pt.ky, 0, mask)[0]
     if pt.arr is not None:
         runs = [o for o in range(pt.ky) if table == list(range(o, o + pt.kx))]
         assert pt.run == (runs[0] if runs else None)
