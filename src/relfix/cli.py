@@ -1,13 +1,8 @@
-"""Command line entry points.
-
-    relfix solve   --spec FILE [--depth N] [--max-size N] [--emit-dot DIR] [--seed N] [--report FILE] [--timings]
-    relfix relate  --spec FILE [--depth N] [--max-size N] [--method kt|banach|kleene|all] [--seed N] [--report FILE] [--timings]
-    relfix karoubi --poset EXPR [--seed N] [--report FILE] [--timings]
-    relfix check   --suite adjunction|contractive|duality|functor_laws|karoubi|lemma2|all|corrupted [--seed N] [--report FILE] [--timings]
+"""Command line entry points; USAGE below is the synopsis.
 
 A flag is `--flag value` or `--flag=value`, may be shortened to a unique
 prefix and takes a value even if it starts with `-`; the last repeat
-wins.  -h/--help prints the lines above.  Exit codes: 0 ok, 1 verification
+wins.  -h/--help prints USAGE.  Exit codes: 0 ok, 1 verification
 failure, 2 usage or parse trouble, 3 resource cap.
 Reports are canonical JSON (sorted keys, trailing newline) and contain
 no timing data; --timings prints wall times to stderr only (the report's
@@ -52,6 +47,13 @@ from .poset import monotone_tables
 from .relations import wide_table_counts
 from .report import make_report, write_report
 from .suites import all_suites, run_suite
+
+USAGE = """\
+relfix solve   --spec FILE [--depth N] [--max-size N] [--emit-dot DIR] [--seed N] [--report FILE] [--timings]
+relfix relate  --spec FILE [--depth N] [--max-size N] [--method kt|banach|kleene|all] [--seed N] [--report FILE] [--timings]
+relfix karoubi --poset EXPR [--seed N] [--report FILE] [--timings]
+relfix check   --suite adjunction|contractive|duality|functor_laws|karoubi|lemma2|all|corrupted [--seed N] [--report FILE] [--timings]
+"""
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -226,7 +228,6 @@ _COMMANDS = {  # command: (handler, required flags, optional flags), then _SHARE
     "karoubi": (cmd_karoubi, ("--poset",), ()),
     "check": (cmd_check, ("--suite",), ()),
 }
-USAGE = "".join(line[4:] + "\n" for line in (__doc__ or "").splitlines() if line.startswith("    relfix "))
 
 
 def _usage_error(message: str):

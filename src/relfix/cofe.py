@@ -21,7 +21,8 @@ standing for every family with that prefix.  Sections decide the pair
 implication exactly, because n ranges over 0..N and two uniform families
 with equal levels below N fall in the same class for every such n, while
 the default operator reads only input levels below N (engines._psi), so
-its outputs are functions of the shared prefix.
+its outputs are functions of the shared prefix.  A space that neither
+fits raises SizeCapExceeded.
 
 For the default operator the check asks eval_rel its questions level by
 level, without enumerating the space it decides: restricting the uniform
@@ -36,7 +37,6 @@ import functools
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,11 +47,11 @@ from .chain import (
     glue_family,
     is_uniform_family,
 )
-from .engines import psi_step
 from .errors import (
     CharacterizationMismatch,
     InternalInvariantViolation,
     NotCauchy,
+    SizeCapExceeded,
     TypeMismatch,
 )
 from .functor import eval_rel, to_src
@@ -74,7 +74,6 @@ __all__ = [
     "cofe_limit",
     "uniform_space_size",
     "enumerate_uniform_masks",
-    "sample_uniform_masks",
     "check_contractive",
 ]
 
@@ -235,8 +234,8 @@ def cofe_limit(chain: DomainChain, seq: CauchySeq) -> RelFamily:
 # closed under every truncation endomap pi_j applied to both components.
 # The pi-images of a pair form a chain down to (bot, bot), so uniform
 # relations are exactly the down-closed pair sets of the ancestry forest
-# that contain the root; they can be counted, enumerated and sampled by
-# tree products.
+# that contain the root; they can be counted and enumerated by tree
+# products.
 
 
 def _forest(chain: DomainChain, level: int) -> tuple:
@@ -282,37 +281,16 @@ def _tree_masks(children: dict, node: int) -> list:
 def enumerate_uniform_masks(chain: DomainChain, level: int | None = None):
     """Yield every uniform relation on X_level as its pair mask, in the
     order of itertools.product over the trees below the root; the root bit
-    (bottom pair) is always set."""
+    (bottom pair) is always set.  A space larger than chain.caps.max_pairs
+    raises SizeCapExceeded before any mask list is built."""
     level = chain.depth if level is None else level
     children, root = _forest(chain, level)
+    size, cap = math.prod(_ways(children, c) for c in children[root]), chain.caps.max_pairs
+    if size > cap:
+        raise SizeCapExceeded("uniform relations over the cap", level=level, size=size, cap=cap)
     per_tree = [_tree_masks(children, c) for c in children[root]]
     for combo in itertools.product(*per_tree):
         yield functools.reduce(operator.or_, combo, 1 << root)
-
-
-def sample_uniform_masks(
-    chain: DomainChain, count: int, seed: int, level: int | None = None
-):
-    """Seeded uniform-ish sample of the downset space (with replacement)."""
-    level = chain.depth if level is None else level
-    children, root = _forest(chain, level)
-    rng = random.Random(seed)
-    wcache = {c: _ways(children, c) for c in children}
-
-    def pick(node: int) -> int:
-        w = wcache[node]
-        if rng.randrange(w) == 0:
-            return 0
-        m = 1 << node
-        for c in children[node]:
-            m |= pick(c)
-        return m
-
-    for _ in range(count):
-        m = 1 << root
-        for c in children[root]:
-            m |= pick(c)
-        yield m
 
 
 # ---------------------------------------------------------------------------
@@ -320,47 +298,45 @@ def sample_uniform_masks(
 # ---------------------------------------------------------------------------
 
 
-def check_contractive(
-    chain: DomainChain,
-    op=None,
-    full_budget: int = 60_000,
-    section_budget: int = 2_000_000,
-    samples: int = 20_000,
-    seed: int = 0,
-) -> dict:
+_FULL_BUDGET = 60_000  # uniform relations on X_N
+_SECTION_BUDGET = 2_000_000  # uniform relations on X_{N-1}
+
+
+def check_contractive(chain: DomainChain, op=None) -> dict:
     """Check that op improves n-equality: n_equal(R, S, n) implies
     n_equal(op R, op S, n+1), over the space of uniform families.
 
     Report-valued (never raises on counterexamples).  Strategy:
 
-    * full: the whole space of uniform relations on X_N fits full_budget;
+    * full: the whole space of uniform relations on X_N fits _FULL_BUDGET;
       it is decided exhaustively.
-    * sections: the space quotiented by the top level fits; the space
-      decided is that of the uniform families on the depth-(N-1) prefix.
-      Requires the default op, and is exact for it: psi reads only input
-      levels below N, so its outputs are functions of the prefix (a
-      property the tests pin).
-    * sampled: seeded sampling of the full space.
+    * sections: the space quotiented by the top level fits
+      _SECTION_BUDGET; the space decided is that of the uniform families
+      on the depth-(N-1) prefix.  Requires the default op, and is exact
+      for it: psi reads only input levels below N, so its outputs are
+      functions of the prefix (a property the tests pin).
+
+    A space neither strategy can decide raises SizeCapExceeded, naming
+    space_size, section_space (when computed) and the budget.
 
     The default operator psi cannot fail the implication: its output
     level 0 is total on the one-point X_0 and its output level m+1 is
     eval_rel(F, R_m, R_m), so families that agree below n get outputs
-    that agree up to n.  On full and sections the check therefore
-    enumerates nothing at the level L of the space decided (N or N-1).
-    It asks eval_rel (with its caps) once about each uniform relation on
-    X_m for m = 0..L-1, which are the space's questions: restricting a
-    uniform R on X_L along e = e_{m -> L} gives a uniform e*R, and every
-    uniform S on X_m is e*(p*S) with p*S uniform, since p.e is the
-    identity.  In full mode those are all the levels psi reads, 0..N-1;
-    on sections they are 0..N-2.  enumerated is the size of the space
-    decided.
+    that agree up to n.  The check therefore enumerates nothing at the
+    level L of the space decided (N or N-1).  It asks eval_rel (with its
+    caps) once about each uniform relation on X_m for m = 0..L-1, which
+    are the space's questions: restricting a uniform R on X_L along
+    e = e_{m -> L} gives a uniform e*R, and every uniform S on X_m is
+    e*(p*S) with p*S uniform, since p.e is the identity.  In full mode
+    those are all the levels psi reads, 0..N-1; on sections they are
+    0..N-2.  enumerated is the size of the space decided.
 
-    Every other case, custom ops and the sampled default (op psi_step),
-    runs op once per family, in enumeration order.  For each n, the first
-    family with given input levels below n is the witness of that key,
-    and each later family with the same key whose output levels up to n
-    differ from the witness's is a counterexample.  The check stops after
-    the family that brings the count of counterexamples to five.
+    A custom op runs once per family, in enumeration order.  For each n,
+    the first family with given input levels below n is the witness of
+    that key, and each later family with the same key whose output
+    levels up to n differ from the witness's is a counterexample.  The
+    check stops after the family that brings the count of
+    counterexamples to five.
     """
     depth = chain.depth
     space = uniform_space_size(chain)
@@ -372,21 +348,25 @@ def check_contractive(
         "counterexamples": [],
         "ok": True,
     }
-    if space <= full_budget:
-        strategy, level = "full", depth
-    elif (
-        op is None
-        and depth >= 1
-        and (section_space := uniform_space_size(chain, depth - 1)) <= section_budget
-    ):
-        strategy, level = "sections", depth - 1
-        report["section_space"] = section_space
+    if space <= _FULL_BUDGET:
+        report["strategy"], level = "full", depth
+    elif op is not None:
+        raise SizeCapExceeded(
+            "uniform space over the full budget", space_size=space, budget=_FULL_BUDGET
+        )
     else:
-        strategy, level = "sampled", depth
-        report["seed"] = seed
-    report["strategy"] = strategy
+        section_space = uniform_space_size(chain, depth - 1)
+        if section_space > _SECTION_BUDGET:
+            raise SizeCapExceeded(
+                "section space over the budget",
+                space_size=space,
+                section_space=section_space,
+                budget=_SECTION_BUDGET,
+            )
+        report["strategy"], level = "sections", depth - 1
+        report["section_space"] = section_space
 
-    if op is None and strategy != "sampled":
+    if op is None:
         for m in range(level):
             for mask in enumerate_uniform_masks(chain, m):
                 rel = BinRel(chain.levels[m], mask)
@@ -394,15 +374,10 @@ def check_contractive(
         report["enumerated"] = report.get("section_space", space)
         return report
 
-    op = psi_step if op is None else op
-    if strategy == "sampled":
-        masks = sample_uniform_masks(chain, samples, seed, depth)
-    else:
-        masks = enumerate_uniform_masks(chain, depth)
     enumerated = 0
     conflicts = report["counterexamples"]
     groups: list = [dict() for _ in range(depth + 1)]
-    for mask in masks:
+    for mask in enumerate_uniform_masks(chain, depth):
         enumerated += 1
         fam = family_from_limit(chain, BinRel(chain.top, mask))
         out = op(chain, fam)

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InadmissibleRelation, TypeMismatch
+from .errors import TypeMismatch
 from .poset import FinPoset, MonotoneMap
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "total_rel",
     "bottom_rel",
     "is_admissible",
-    "require_admissible",
     "inverse_image",
     "direct_image",
     "intersect",
@@ -366,14 +365,6 @@ def bottom_rel(carrier: FinPoset) -> BinRel:
 
 def is_admissible(rel: BinRel) -> bool:
     return bool((rel.mask >> bottom_index(rel.carrier)) & 1)
-
-
-def require_admissible(rel: BinRel, context: str) -> BinRel:
-    if not is_admissible(rel):
-        raise InadmissibleRelation(
-            f"{context}: relation lacks the bottom pair", carrier=rel.carrier.n
-        )
-    return rel
 
 
 def inverse_image(f: MonotoneMap, s: BinRel) -> BinRel:

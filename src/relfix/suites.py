@@ -123,7 +123,7 @@ def _all_maps(x: FinPoset, y: FinPoset) -> list:
     return [MonotoneMap(x, y, t) for t in monotone_tables(x, y)]
 
 
-def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
+def lemma2_suite() -> dict:
     """The four morphism properties, exhaustive on the small-poset corpus.
 
     (1) the identity is a morphism R -> S exactly when R <= S;
@@ -215,7 +215,7 @@ def lemma2_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     return report
 
 
-def adjunction_suite(caps: Caps = DEFAULT_CAPS) -> dict:
+def adjunction_suite() -> dict:
     """direct_image -| inverse_image, exhaustive on the same corpus: the
     (R, S) grid of each map is one array comparison."""
     posets = small_pointed_posets()
@@ -265,12 +265,15 @@ def adjunction_suite(caps: Caps = DEFAULT_CAPS) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def functor_laws_suite(budget: int = 4000, caps: Caps = DEFAULT_CAPS) -> dict:
+_LAW_BUDGET = 4000  # instances per law in the two law suites
+
+
+def functor_laws_suite() -> dict:
     """check_functor_laws over the three canonical functors."""
     out: dict = {"functors": {}, "ok": True}
     for name, (f, _depth) in canonical_specs().items():
         try:
-            rep = check_functor_laws(f, budget=budget, caps=caps)
+            rep = check_functor_laws(f, budget=_LAW_BUDGET, caps=DEFAULT_CAPS)
             out["functors"][name] = rep
         except LawViolation as exc:
             out["functors"][name] = {"error": str(exc)}
@@ -295,12 +298,12 @@ def _broken_action(f: FunctorExpr, fneg, fpos, caps: Caps = DEFAULT_CAPS):
     return eval_map(f, fneg, fpos, caps)
 
 
-def corrupted_action_suite(budget: int = 4000, caps: Caps = DEFAULT_CAPS) -> dict:
+def corrupted_action_suite() -> dict:
     """The harness must catch the broken action; ok means it was caught,
     and the report carries the law-violation witness."""
     try:
         rep = check_functor_laws(
-            Fun(Var(), Var()), budget=budget, action=_broken_action, caps=caps
+            Fun(Var(), Var()), budget=_LAW_BUDGET, action=_broken_action, caps=DEFAULT_CAPS
         )
         return {"caught": False, "report": rep, "ok": False}
     except LawViolation as exc:
@@ -317,17 +320,17 @@ def corrupted_action_suite(budget: int = 4000, caps: Caps = DEFAULT_CAPS) -> dic
 # ---------------------------------------------------------------------------
 
 
-def contractive_suite(caps: Caps = DEFAULT_CAPS) -> dict:
+def contractive_suite() -> dict:
     """Exhaustive contractiveness on lazy naturals (depth 3, by sections)
     and the function space (depth 2, full), plus the identity-operator
     fixture that must produce a counterexample."""
     out: dict = {"checks": {}, "ok": True}
-    lazy = build_chain(SumSep(One(), Var()), 3, caps)
+    lazy = build_chain(SumSep(One(), Var()), 3, DEFAULT_CAPS)
     out["checks"]["lazy_nat_depth3"] = check_contractive(lazy)
-    funsp = build_chain(Lift(Fun(Var(), Var())), 2, caps)
+    funsp = build_chain(Lift(Fun(Var(), Var())), 2, DEFAULT_CAPS)
     out["checks"]["fun_space_depth2"] = check_contractive(funsp)
     ident = check_contractive(
-        build_chain(SumSep(One(), Var()), 1, caps), op=lambda c, fam: fam
+        build_chain(SumSep(One(), Var()), 1, DEFAULT_CAPS), op=lambda c, fam: fam
     )
     out["checks"]["identity_op_fixture"] = ident
     out["ok"] = (
@@ -338,14 +341,14 @@ def contractive_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     return out
 
 
-def duality_suite(caps: Caps = DEFAULT_CAPS) -> dict:
+def duality_suite() -> dict:
     """Gluing duality for the solved family of each canonical spec; the
     gluing operation itself verifies the intersection-of-pullbacks equals
     the union-of-pushforwards and raises on mismatch."""
     out: dict = {"specs": {}, "ok": True}
     for name, (f, depth) in canonical_specs().items():
         try:
-            chain = build_chain(f, depth, caps)
+            chain = build_chain(f, depth, DEFAULT_CAPS)
             fam = solve_kleene(chain)
             glued = glue_family(chain, fam)
             out["specs"][name] = {
@@ -366,7 +369,7 @@ def _all_idempotents(p: FinPoset) -> list:
     return [Idempotent(p, MonotoneMap(p, p, row)) for row in t[keep]]
 
 
-def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
+def karoubi_suite() -> dict:
     """The appendix checks at acceptance scale.
 
     E_CH3 has exactly four members; both idempotent-order conditions
@@ -378,7 +381,7 @@ def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     """
     out: dict = {"checks": {}, "ok": True}
     ch3 = chain_poset(3)
-    e3 = enumerate_canonical_idempotents(ch3, caps)
+    e3 = enumerate_canonical_idempotents(ch3, DEFAULT_CAPS)
     out["checks"]["e_ch3_size"] = {"got": len(e3), "want": 4, "ok": len(e3) == 4}
 
     corpus5 = small_pointed_posets() + [diamond(), chain_poset(4), chain_poset(5)]
@@ -386,7 +389,7 @@ def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     agree_ok = True
     for d in corpus5:
         try:
-            idems, _ = _ed_order(d, caps)
+            idems, _ = _ed_order(d, DEFAULT_CAPS)
         except RelfixError:
             agree_ok = False
             continue
@@ -409,14 +412,16 @@ def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     # the objects grouped by carrier: FinPoset equality is order equality
     groups = {d: [KaroubiObj(d, p) for p in _all_idempotents(d)] for d in small_pointed_posets()}
     objs = [a for group in groups.values() for a in group]
-    hat_ok = all(hat_functor_mor(hat_functor, a.p.mor, a, a, caps).is_identity() for a in objs)
+    hat_ok = all(
+        hat_functor_mor(hat_functor, a.p.mor, a, a, DEFAULT_CAPS).is_identity() for a in objs
+    )
     hat_instances = len(objs)
     top = list(enumerate(objs[:10]))
     # the tables of the first three homs of each pair, and their hat images
     hats = {}
     for (i, a), (j, b) in itertools.product(top, repeat=2):
-        rows = karoubi_hom_tables(a, b, caps)[:3]
-        hats[i, j] = rows, hat_action(hat_functor, rows, a, b, caps)
+        rows = karoubi_hom_tables(a, b, DEFAULT_CAPS)[:3]
+        hats[i, j] = rows, hat_action(hat_functor, rows, a, b, DEFAULT_CAPS)
     for (i, a), (k, c) in itertools.product(top, repeat=2):
         # rows (b, g, f) over every b in reach: hat(g . f) against hat g . hat f
         mids = [hats[i, j] + hats[j, k] for j, b in top if a.X.n + b.X.n + c.X.n <= 7]
@@ -424,11 +429,11 @@ def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
             gf = np.concatenate([g[:, f].reshape(-1, a.X.n) for f, _, g, _ in mids])
             want = np.concatenate([hg[:, hf].reshape(-1, hf.shape[1]) for _, hf, _, hg in mids])
             hat_instances += len(gf)
-            hat_ok &= bool((hat_action(hat_functor, gf, a, c, caps) == want).all())
+            hat_ok &= bool((hat_action(hat_functor, gf, a, c, DEFAULT_CAPS) == want).all())
     out["checks"]["hat_laws"] = {"instances": hat_instances, "ok": hat_ok}
 
-    slice_ok = all(ed_slice_equivalence(d, caps)["ok"] for d in corpus5)
-    cpo_ok = all(ed_cpo_check(d, caps)["ok"] for d in corpus5)
+    slice_ok = all(ed_slice_equivalence(d, DEFAULT_CAPS)["ok"] for d in corpus5)
+    cpo_ok = all(ed_cpo_check(d, DEFAULT_CAPS)["ok"] for d in corpus5)
     out["checks"]["slice_equivalence"] = {"posets": len(corpus5), "ok": slice_ok}
     out["checks"]["ed_cpo"] = {"posets": len(corpus5), "ok": cpo_ok}
 
@@ -437,7 +442,7 @@ def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
     pointed, pointed_ok = 0, True
     for (x, xs), (y, ys) in itertools.product(groups.items(), repeat=2):
         if x.n * y.n <= 9:
-            t = monotone_tables(x, y, caps.max_pairs)
+            t = monotone_tables(x, y, DEFAULT_CAPS.max_pairs)
             env = _envelope(t, *(np.array([a.p.mor.arr for a in g]) for g in (xs, ys)))
             bot = np.array([karoubi_bottom_hom(xs[0], b).arr for b in ys])[:, None]
             pointed += len(xs) * len(ys)
@@ -447,7 +452,7 @@ def karoubi_suite(caps: Caps = DEFAULT_CAPS) -> dict:
 
     ch2 = chain_poset(2)
     audit = karoubi_rel_fiber(
-        KaroubiObj(ch2, Idempotent(ch2, MonotoneMap(ch2, ch2, (0, 0)))), caps
+        KaroubiObj(ch2, Idempotent(ch2, MonotoneMap(ch2, ch2, (0, 0)))), DEFAULT_CAPS
     )
     diag_pairs = diagonal(ch2).sorted_pairs()
     diag_seen = any(
@@ -480,17 +485,17 @@ def all_suites() -> dict:
     }
 
 
-def run_suite(name: str, caps: Caps = DEFAULT_CAPS, on_suite=None) -> dict:
+def run_suite(name: str, on_suite=None) -> dict:
     """Run one suite by name ('all' runs every standard suite;
     'corrupted' runs the deliberately failing fixture).  With 'all',
     on_suite(key, seconds) is called after each suite with its wall time."""
     if name == "corrupted":
-        return corrupted_action_suite(caps=caps)
+        return corrupted_action_suite()
     if name == "all":
         out: dict = {"suites": {}, "ok": True}
         for key, fn in all_suites().items():
             t0 = time.monotonic()
-            rep = fn(caps=caps)
+            rep = fn()
             if on_suite is not None:
                 on_suite(key, time.monotonic() - t0)
             out["suites"][key] = rep
@@ -500,4 +505,4 @@ def run_suite(name: str, caps: Caps = DEFAULT_CAPS, on_suite=None) -> dict:
     suites = all_suites()
     if name not in suites:
         raise KeyError(name)
-    return suites[name](caps=caps)
+    return suites[name]()

@@ -23,11 +23,12 @@ SPECS = HERE / "specs"
 GOLDEN = HERE / "golden"
 
 
-def run_cli(*args, cwd=None, timeout=None):
-    """Run the CLI; past `timeout` seconds subprocess.TimeoutExpired fails the
-    test instead of letting it hang."""
+def run_cli(*args, cwd=None, timeout=None, python=()):
+    """Run the CLI, with the interpreter options `python`; past `timeout`
+    seconds subprocess.TimeoutExpired fails the test instead of letting it
+    hang."""
     return subprocess.run(
-        [sys.executable, "-m", "relfix.cli", *args],
+        [sys.executable, *python, "-m", "relfix.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -438,6 +439,16 @@ def test_help_prints_the_usage_and_exits_0(args):
     assert [line.split()[1] for line in proc.stdout.splitlines()] == [
         "solve", "relate", "karoubi", "check"
     ]
+
+
+def test_the_usage_survives_python_minus_OO():
+    # -OO strips docstrings, so the usage must not be read from one
+    usage = _usage()
+    proc = run_cli("--help", python=("-OO",))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, usage, "")
+    proc = run_cli("relate", "--spec", LAZY, "--x", python=("-OO",))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == usage + "relfix: error: unrecognized argument: --x\n"
 
 
 def test_flag_spellings_give_the_same_report_bytes():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -24,14 +26,14 @@ from relfix.cofe import (
     n_equal,
     ofe_distance,
     prefix_equal,
-    sample_uniform_masks,
     uniform_space_size,
 )
 from relfix.engines import psi_step, solve_kleene
-from relfix.errors import NotCauchy, TypeMismatch
+from relfix.errors import NotCauchy, SizeCapExceeded, TypeMismatch
 from relfix.functor import Fun, Lift, One, SumSep, Var
 from relfix.relations import (
     BinRel,
+    bottom_index,
     bottom_rel,
     diagonal,
     intersect,
@@ -149,18 +151,6 @@ def test_enumerated_masks_give_uniform_families():
         assert BinRel(ch.levels[1], mask) == fam[1]
 
 
-def test_sampling_is_seeded_and_lands_in_the_space():
-    f, _ = canonical_specs()["lazy_nat"]
-    ch = build_chain(f, 2)
-    a = list(sample_uniform_masks(ch, count=50, seed=7))
-    b = list(sample_uniform_masks(ch, count=50, seed=7))
-    c = list(sample_uniform_masks(ch, count=50, seed=8))
-    assert a == b
-    assert a != c
-    universe = set(enumerate_uniform_masks(ch))
-    assert set(a) <= universe
-
-
 def test_check_contractive_full_strategy():
     ch = small_lazy(1)
     report = check_contractive(ch)
@@ -177,28 +167,46 @@ def test_check_contractive_catches_the_identity_operator():
     assert report["op"] == "custom"
 
 
-def test_check_contractive_sampled_strategy():
-    ch = small_lazy(2)
-    report = check_contractive(
-        ch, full_budget=10, section_budget=10, samples=200, seed=3
-    )
-    assert report["strategy"] == "sampled"
-    assert report["op"] == "psi"
-    assert report["ok"] is True
-    assert report["seed"] == 3
-    assert report["enumerated"] == 200
-    assert report["counterexamples"] == []
+def test_a_space_neither_strategy_decides_raises_quickly():
+    # lazy_nat at depth 4: about 1.5e11 sections; a custom operator on the
+    # 1,285,000 families at depth 2 has only the full strategy
+    for chain, op, details in [
+        (small_lazy(4), None, {"section_space": 150_509_597_128, "budget": 2_000_000}),
+        (small_lazy(2), _identity, {"space_size": 1_285_000, "budget": 60_000}),
+    ]:
+        t0 = time.monotonic()
+        with pytest.raises(SizeCapExceeded) as caught:
+            check_contractive(chain, op=op)
+        assert time.monotonic() - t0 < 1.0
+        assert details.items() <= caught.value.details.items()
 
 
-def test_check_contractive_sampled_strategy_catches_the_identity_operator():
-    # the sampled loop can fail: the identity does not improve n-equality
-    ch = small_lazy(2)
-    report = check_contractive(
-        ch, op=lambda c, fam: fam, full_budget=10, section_budget=10, samples=200, seed=3
-    )
-    assert (report["strategy"], report["op"], report["ok"]) == ("sampled", "custom", False)
-    assert len(report["counterexamples"]) == 5
-    assert report["enumerated"] == 6 and report["stopped_early"] is True
+@pytest.mark.parametrize("functor, depth", [
+    (Lift(Fun(Var(), Var())), 3), (SumSep(Lift(Var()), Lift(Var())), 2)
+], ids=["fun_space_d3", "sum_of_lifts_d2"])
+def test_enumerating_a_space_over_the_pair_cap_raises_before_building_it(functor, depth):
+    chain = build_chain(functor, depth)
+    t0 = time.monotonic()
+    with pytest.raises(SizeCapExceeded) as caught:
+        next(enumerate_uniform_masks(chain))
+    assert time.monotonic() - t0 < 2.0
+    assert caught.value.details["size"] == uniform_space_size(chain)
+    assert caught.value.details["cap"] == chain.caps.max_pairs
+
+
+def _seeded_uniform_masks(chain, count, seed):
+    """count uniform relations on X_N, by the definition: a seeded random
+    set of top pairs closed under every pi_j (one pass suffices, since
+    pi_j . pi_k = pi_min(j, k)), plus the bottom pair."""
+    rng = random.Random(seed)
+    images = [pair_table(pi).index for pi in chain.pis]
+    pairs = range(chain.top.n ** 2)
+    for _ in range(count):
+        mask = 1 << bottom_index(chain.top)
+        for q in rng.sample(pairs, rng.randrange(len(pairs))):
+            for img in images:
+                mask |= 1 << img[q]
+        yield mask
 
 
 @pytest.mark.parametrize(
@@ -209,7 +217,7 @@ def test_psi_reads_no_input_level_above_n_minus_one(name, depth):
     # it is exact only because psi's outputs ignore the input's level N
     chain = build_chain(canonical_specs()[name][0], depth)
     top = chain.levels[depth]
-    for mask in sample_uniform_masks(chain, count=64, seed=1):
+    for mask in _seeded_uniform_masks(chain, count=64, seed=1):
         fam = family_from_limit(chain, BinRel(top, mask))
         out = psi_step(chain, fam)
         prefix = list(fam.rels[:depth])

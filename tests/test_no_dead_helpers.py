@@ -4,7 +4,11 @@ the package outside its own definition.  References from tests or from the
 benchmark do not count, since they do not make a helper part of the
 program.  And no stale export: every name a module's __all__ lists is
 bound in that module, since nothing star-imports these modules and a
-deleted name would otherwise stay listed unnoticed."""
+deleted name would otherwise stay listed unnoticed.  And no public name
+without a caller: every module-level public function or class is
+referenced in the package outside its own definition, its module's
+__all__ and __init__.py, or README.md names it in backquotes with the
+reason it stays."""
 
 from __future__ import annotations
 
@@ -13,7 +17,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "relfix"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "relfix"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 PRIVATE = re.compile(r"_[^_].*")
 
@@ -60,11 +65,15 @@ def test_every_name_in_all_is_bound_in_its_module():
     assert unbound == []
 
 
-def test_every_private_helper_is_referenced_outside_its_definition():
-    trees = {
+def _trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
+
+
+def test_every_private_helper_is_referenced_outside_its_definition():
+    trees = _trees()
     everywhere = Counter(n for tree in trees.values() for n in _referenced_names(tree))
     dead = []
     for file, tree in trees.items():
@@ -74,3 +83,21 @@ def test_every_private_helper_is_referenced_outside_its_definition():
                 if everywhere[node.name] == inside:
                     dead.append(f"{file}:{node.lineno} {node.name}")
     assert dead == []
+
+
+def test_every_public_name_is_referenced_or_named_in_the_readme():
+    # __all__ lists strings and __init__.py only re-exports, so neither
+    # counts as a reference
+    trees = _trees()
+    del trees["__init__.py"]
+    everywhere = Counter(n for tree in trees.values() for n in _referenced_names(tree))
+    readme = set(re.findall(r"`(\w+)`", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unused = [
+        f"{file}:{node.lineno} {node.name}"
+        for file, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, DEFS) and not node.name.startswith("_")
+        and everywhere[node.name] == _referenced_names(node).count(node.name)
+        and node.name not in readme
+    ]
+    assert unused == []

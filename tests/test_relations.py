@@ -20,7 +20,7 @@ from relfix.cofe import (
     uniform_space_size,
 )
 from relfix import relations
-from relfix.errors import InadmissibleRelation, TypeMismatch
+from relfix.errors import TypeMismatch
 from relfix.functor import One, SumSep, Var
 from relfix.poset import chain_poset, monotone_map
 from relfix.relations import (
@@ -36,7 +36,6 @@ from relfix.relations import (
     masks_to_rows,
     rel_from_pairs,
     rel_morphism_witness,
-    require_admissible,
     rows_le,
     rows_to_masks,
     total_rel,
@@ -80,8 +79,6 @@ def test_admissibility_is_the_bottom_pair():
     assert is_admissible(bottom_rel(C3))
     assert is_admissible(diagonal(C3))
     assert not is_admissible(rel_from_pairs(C3, [(1, 1)]))
-    with pytest.raises(InadmissibleRelation):
-        require_admissible(rel_from_pairs(C3, [(1, 1)]), "test")
 
 
 def test_inclusion_needs_a_shared_carrier():

@@ -10,6 +10,7 @@ import pytest
 from relfix.chain import build_chain
 from relfix.cofe import check_contractive
 from relfix.engines import psi_step
+from relfix.functor import Lift, Var
 from relfix.poset import monotone_tables, table_positions
 from relfix.relations import admissible_rows, pair_table
 from relfix.suites import (
@@ -149,25 +150,17 @@ def test_contractive_suite_counts_and_identity_fixture():
     ]
 
 
-@pytest.mark.parametrize(
-    "name, depth, budgets",
-    [
-        ("lazy_nat", 1, {}),
-        # the depth-2 space is too large for the per-family path, so both
-        # runs sample it with the same seed
-        ("lazy_nat", 2, {"section_budget": 0, "samples": 2000}),
-        ("reflexive", 2, {}),
-    ],
-)
-def test_levelwise_contractive_check_matches_psi_step(name, depth, budgets):
+@pytest.mark.parametrize("name, depth", [("lazy_nat", 1), ("lift", 3), ("reflexive", 2)])
+def test_levelwise_contractive_check_matches_psi_step(name, depth):
     # op=None computes each output level from its input level; op=psi_step
     # applies the whole operator to each family.  Only the op label may
     # differ.
-    chain = build_chain(canonical_specs()[name][0], depth)
-    levelwise = check_contractive(chain, **budgets)
-    per_family = check_contractive(chain, op=psi_step, **budgets)
+    functor = Lift(Var()) if name == "lift" else canonical_specs()[name][0]
+    chain = build_chain(functor, depth)
+    levelwise = check_contractive(chain)
+    per_family = check_contractive(chain, op=psi_step)
     assert levelwise["op"] == "psi" and per_family["op"] == "custom"
-    assert levelwise["ok"] is True and levelwise["enumerated"] > 0
+    assert levelwise["strategy"] == "full" and levelwise["ok"] is True
     drop = ("op",)
     assert {k: v for k, v in levelwise.items() if k not in drop} == {
         k: v for k, v in per_family.items() if k not in drop
