@@ -42,24 +42,6 @@ from .relations import (
     total_rel,
 )
 
-__all__ = [
-    "DomainChain",
-    "RelFamily",
-    "build_chain",
-    "truncation_projections",
-    "glue_family",
-    "make_family",
-    "total_family",
-    "bottom_family",
-    "diagonal_family",
-    "family_from_limit",
-    "coherence_witness",
-    "is_coherent",
-    "levelwise_uniform_witness",
-    "is_levelwise_uniform",
-    "is_uniform_family",
-]
-
 
 class DomainChain:
     """The truncated chain X_0 .. X_N with its e/p structure.

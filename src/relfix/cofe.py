@@ -64,19 +64,6 @@ from .relations import (
     pair_table,
 )
 
-__all__ = [
-    "prefix_equal",
-    "n_equal",
-    "Distance",
-    "ofe_distance",
-    "CauchySeq",
-    "validate_cauchy",
-    "cofe_limit",
-    "uniform_space_size",
-    "enumerate_uniform_masks",
-    "check_contractive",
-]
-
 
 # ---------------------------------------------------------------------------
 # n-equality and distance

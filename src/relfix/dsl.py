@@ -51,8 +51,6 @@ from .functor import (
 from .poset import FinPoset, chain_poset, one, validate_poset
 from .relations import BinRel, diagonal, is_admissible, rel_from_pairs, total_rel
 
-__all__ = ["SpecFile", "parse_spec", "parse_poset_literal"]
-
 
 @dataclass
 class SpecFile:

@@ -40,15 +40,6 @@ from .errors import (
 from .functor import eval_rel, to_src
 from .relations import BinRel, rel_morphism_witness, total_rel
 
-__all__ = [
-    "psi_step",
-    "solve_knaster_tarski",
-    "solve_kleene",
-    "solve_banach",
-    "check_uniform",
-    "compare_methods",
-]
-
 
 def _psi(chain: DomainChain, neg: RelFamily, pos: RelFamily) -> RelFamily:
     """The levelwise operator: level 0 is the total relation on the

@@ -7,15 +7,6 @@ import numpy as np
 from .errors import NotAnEmbedding, NotEp, TypeMismatch
 from .poset import FinPoset, MonotoneMap, bottom_map, identity_map, monotonicity_witness
 
-__all__ = [
-    "EpPair",
-    "verify_ep_pair",
-    "projection_of",
-    "compose_ep",
-    "identity_ep",
-    "bottom_ep",
-]
-
 
 class EpPair:
     """An embedding e : X -> Y with its projection p : Y -> X.

@@ -64,33 +64,6 @@ from .relations import (
     total_rel,
 )
 
-__all__ = [
-    "FunctorExpr",
-    "One",
-    "Var",
-    "Const",
-    "Lift",
-    "Prod",
-    "SumSep",
-    "Fun",
-    "var_polarities",
-    "is_covariant",
-    "validate_functor",
-    "to_src",
-    "eval_obj",
-    "MapRows",
-    "eval_maps",
-    "eval_map",
-    "eval_ep",
-    "eval_rel",
-    "rel_cache_counts",
-    "lift_map",
-    "prod_map",
-    "sum_map",
-    "hom_map",
-    "check_functor_laws",
-]
-
 
 # ---------------------------------------------------------------------------
 # AST

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import DEFAULT_CAPS
 from .errors import (
     EquivalenceMismatch,
     InternalInvariantViolation,
@@ -36,26 +36,6 @@ from .poset import (
     validate_poset,
 )
 from .relations import BinRel, admissible_rows, pair_table, rows_le, rows_to_masks
-
-__all__ = [
-    "Idempotent",
-    "Splitting",
-    "KaroubiObj",
-    "enumerate_canonical_idempotents",
-    "idem_leq",
-    "split_idempotent",
-    "splitting_iso",
-    "karoubi_hom_check",
-    "karoubi_hom_tables",
-    "karoubi_homs",
-    "karoubi_bottom_hom",
-    "hat_functor_obj",
-    "hat_functor_mor",
-    "hat_action",
-    "ed_cpo_check",
-    "ed_slice_equivalence",
-    "karoubi_rel_fiber",
-]
 
 
 @dataclass(frozen=True)
@@ -97,20 +77,18 @@ class KaroubiObj:
             raise TypeMismatch("idempotent lives on a different carrier")
 
 
-def enumerate_canonical_idempotents(
-    d: FinPoset, caps: Caps = DEFAULT_CAPS
-) -> list:
+def enumerate_canonical_idempotents(d: FinPoset) -> list:
     """E_D: every idempotent endomap pointwise below the identity.
 
     Each member is built from its image (see _deflation_images).
     Deterministic (table-lexicographic) order.  Every member fixes the
     bottom, since p(bot) <= bot forces it.
     """
-    tables = sorted(table for _, table in _deflation_images(d, caps))
+    tables = sorted(table for _, table in _deflation_images(d))
     return [Idempotent(d, MonotoneMap(d, d, t)) for t in tables]
 
 
-def _deflation_images(d: FinPoset, caps: Caps) -> list:
+def _deflation_images(d: FinPoset) -> list:
     """(image, table) of every deflation of d, by ascending image mask.
 
     A deflation p is fixed by its image S: p(x) is the greatest member of
@@ -121,7 +99,7 @@ def _deflation_images(d: FinPoset, caps: Caps) -> list:
     order-matrix caps before the scan.
     """
     candidates = 1 << (d.n - 1)
-    _check_size(candidates, caps, "E_D", candidates=candidates)
+    _check_size(candidates, DEFAULT_CAPS, "E_D", candidates=candidates)
     down = [
         sum(1 << int(y) for y in np.flatnonzero(d.leq[:, x])) for x in range(d.n)
     ]
@@ -236,15 +214,15 @@ def karoubi_hom_check(f: MonotoneMap, a: KaroubiObj, b: KaroubiObj) -> bool:
     return f @ a.p.mor == f and b.p.mor @ f == f
 
 
-def karoubi_hom_tables(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+def karoubi_hom_tables(a: KaroubiObj, b: KaroubiObj) -> np.ndarray:
     """The tables of all envelope morphisms a -> b, as cached table rows."""
-    t = monotone_tables(a.X, b.X, caps.max_pairs)
+    t = monotone_tables(a.X, b.X, DEFAULT_CAPS.max_pairs)
     return t[_envelope(t, a.p.mor.arr[None], b.p.mor.arr[None])[0, 0]]
 
 
-def karoubi_homs(a: KaroubiObj, b: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> list:
+def karoubi_homs(a: KaroubiObj, b: KaroubiObj) -> list:
     """All envelope morphisms a -> b, as maps."""
-    return [MonotoneMap(a.X, b.X, row) for row in karoubi_hom_tables(a, b, caps)]
+    return [MonotoneMap(a.X, b.X, row) for row in karoubi_hom_tables(a, b)]
 
 
 def karoubi_bottom_hom(a: KaroubiObj, b: KaroubiObj) -> MonotoneMap:
@@ -252,44 +230,40 @@ def karoubi_bottom_hom(a: KaroubiObj, b: KaroubiObj) -> MonotoneMap:
     return b.p.mor @ const_map(a.X, b.X, b.X.bottom)
 
 
-def hat_functor_obj(
-    f: FunctorExpr, a: KaroubiObj, caps: Caps = DEFAULT_CAPS
-) -> FinPoset:
+def hat_functor_obj(f: FunctorExpr, a: KaroubiObj) -> FinPoset:
     """Object part of the free-splitting extension: the image of F(p)."""
-    return _hat_split(f, a, caps).im
+    return _hat_split(f, a).im
 
 
-def hat_functor_mor(f: FunctorExpr, g: MonotoneMap, a: KaroubiObj, b: KaroubiObj,
-                    caps: Caps = DEFAULT_CAPS) -> MonotoneMap:
+def hat_functor_mor(f: FunctorExpr, g: MonotoneMap, a: KaroubiObj, b: KaroubiObj) -> MonotoneMap:
     """Morphism part: hat_action on the one row of g."""
     if g.dom != a.X or g.cod != b.X:
         raise TypeMismatch("map does not go between the carriers")
-    row = hat_action(f, g.arr[None], a, b, caps)[0]
-    return MonotoneMap(_hat_split(f, a, caps).im, _hat_split(f, b, caps).im, row)
+    row = hat_action(f, g.arr[None], a, b)[0]
+    return MonotoneMap(_hat_split(f, a).im, _hat_split(f, b).im, row)
 
 
-def hat_action(f: FunctorExpr, rows: np.ndarray, a: KaroubiObj, b: KaroubiObj,
-               caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+def hat_action(f: FunctorExpr, rows: np.ndarray, a: KaroubiObj, b: KaroubiObj) -> np.ndarray:
     """The morphism part on each row of an array of envelope-morphism tables
     a -> b, with every Fg from one eval_maps call: im(Fp) --s--> FX --Fg-->
     FY --r--> im(Fq).  A row that is no envelope morphism raises TypeMismatch."""
     if not (ok := _envelope(rows, a.p.mor.arr[None], b.p.mor.arr[None])[0, 0]).all():
         raise TypeMismatch("not an envelope morphism", table=tuple(rows[ok.argmin()].tolist()))
-    sp, sq = _hat_split(f, a, caps), _hat_split(f, b, caps)
-    fg = eval_maps(f, None, MapRows(a.X, b.X, rows), caps).arr
+    sp, sq = _hat_split(f, a), _hat_split(f, b)
+    fg = eval_maps(f, None, MapRows(a.X, b.X, rows), DEFAULT_CAPS).arr
     return sq.r.arr[np.broadcast_to(fg, (len(rows), fg.shape[1]))[:, sp.s.arr]]
 
 
 @lru_cache(maxsize=None)
-def _hat_split(f: FunctorExpr, a: KaroubiObj, caps: Caps) -> Splitting:
+def _hat_split(f: FunctorExpr, a: KaroubiObj) -> Splitting:
     """The splitting of the idempotent F(p), computed once per object."""
     if not is_covariant(f):
         raise TypeMismatch(
             "free splitting extension needs a covariant functor",
             functor=to_src(f),
         )
-    carrier = eval_obj(f, a.X, a.X, caps)
-    return split_idempotent(Idempotent(carrier, eval_map(f, None, a.p.mor, caps)))
+    carrier = eval_obj(f, a.X, a.X, DEFAULT_CAPS)
+    return split_idempotent(Idempotent(carrier, eval_map(f, None, a.p.mor, DEFAULT_CAPS)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +272,7 @@ def _hat_split(f: FunctorExpr, a: KaroubiObj, caps: Caps) -> Splitting:
 
 
 @lru_cache(maxsize=None)
-def _ed_order(d: FinPoset, caps: Caps) -> tuple:
+def _ed_order(d: FinPoset) -> tuple:
     """E_D and its idempotent-order matrix, computed once per poset.
 
     Both order conditions of idem_leq are decided on all k^2 pairs over
@@ -306,7 +280,7 @@ def _ed_order(d: FinPoset, caps: Caps) -> tuple:
     holds at most 2^19 entries); a pair where they disagree goes through
     idem_leq, which raises EquivalenceMismatch with its witness.
     """
-    idems = tuple(enumerate_canonical_idempotents(d, caps))
+    idems = tuple(enumerate_canonical_idempotents(d))
     t = np.array([p.mor.arr for p in idems])
     flat, off = t.ravel(), np.arange(len(t))[:, None] * d.n  # q(v) = flat[off + v]
     leq = np.empty((len(t), len(t)), dtype=bool)
@@ -337,7 +311,7 @@ def _order_axioms(leq: np.ndarray) -> dict:
     }
 
 
-def ed_cpo_check(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
+def ed_cpo_check(d: FinPoset) -> dict:
     """E_D with the idempotent order is a pointed CPO; report the checks.
 
     Covers: partial-order axioms for idem_leq, monotonicity of the
@@ -347,7 +321,7 @@ def ed_cpo_check(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     every other member, which leaves only top <= top, the reflexivity
     already checked.
     """
-    idems, leq = _ed_order(d, caps)
+    idems, leq = _ed_order(d)
     checks = _order_axioms(leq)
     # i <= j implies p_i <= p_j pointwise, in blocks of at most 2^19 entries
     t, (i, j) = np.array([p.mor.arr for p in idems]), np.nonzero(leq)
@@ -367,7 +341,7 @@ def ed_cpo_check(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     }
 
 
-def ed_slice_equivalence(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
+def ed_slice_equivalence(d: FinPoset) -> dict:
     """The equivalence between E_D and embeddings into D, as a report.
 
     j sends an embedding e to e o e_p; i sends p to the splitting's
@@ -375,8 +349,8 @@ def ed_slice_equivalence(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     i(j(e)) equal to e on image representatives, the size bijection, and
     monotonicity of both directions (slice order: image inclusion).
     """
-    idems, leq = _ed_order(d, caps)
-    images = _deflation_images(d, caps)
+    idems, leq = _ed_order(d)
+    images = _deflation_images(d)
     report = {
         "poset_size": d.n,
         "ed_size": len(idems),
@@ -414,7 +388,7 @@ def ed_slice_equivalence(d: FinPoset, caps: Caps = DEFAULT_CAPS) -> dict:
     return report
 
 
-def karoubi_rel_fiber(a: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> dict:
+def karoubi_rel_fiber(a: KaroubiObj) -> dict:
     """Admissible relations fixed by p-inverse-image, plus the claim audit.
 
     The fiber over (X,p) is {R admissible | p*R = R}.  The claim that
@@ -425,7 +399,7 @@ def karoubi_rel_fiber(a: KaroubiObj, caps: Caps = DEFAULT_CAPS) -> dict:
     x = a.X
     n = x.n
     candidates = 1 << (n * n)
-    if candidates > caps.max_pairs:
+    if candidates > DEFAULT_CAPS.max_pairs:
         raise SizeCapExceeded(
             "relation space too large", carrier=n, candidates=candidates
         )

@@ -36,27 +36,6 @@ from .errors import (
     TypeMismatch,
 )
 
-__all__ = [
-    "FinPoset",
-    "MonotoneMap",
-    "one",
-    "chain_poset",
-    "validate_poset",
-    "vee",
-    "small_pointed_posets",
-    "lift",
-    "product",
-    "sum_sep",
-    "hom_poset",
-    "enumerate_monotone_maps",
-    "monotone_tables",
-    "table_positions",
-    "monotone_map",
-    "identity_map",
-    "const_map",
-    "bottom_map",
-]
-
 
 def _heights(leq: np.ndarray) -> np.ndarray:
     """Longest-chain height of each element, computed from a raw matrix:
@@ -152,23 +131,20 @@ class FinPoset:
         return idx
 
     def to_dot(self, name: str = "poset") -> str:
-        """Hasse diagram in DOT format: nodes plus covering edges only."""
+        """Hasse diagram in DOT format: nodes plus covering edges only.
+
+        Each node is labelled with its id.  Descriptors are not used: equal
+        posets share cached constructions, so elems can be another equal
+        poset's (chain_poset(2) == lift(one())).
+        """
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for i in range(self.n):
-            text = _short_descriptor(self.elems[i]).replace('"', r"\"")
-            lines.append(f'  {i} [label="{text}"];')
+        lines += [f'  {i} [label="{i}"];' for i in range(self.n)]
         cov = self.covers
         for i in range(self.n):
             for j in np.flatnonzero(cov[i]):
                 lines.append(f"  {i} -> {int(j)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _short_descriptor(d) -> str:
-    if isinstance(d, tuple) and len(d) == 2 and d[0] in ("up", "inl", "inr"):
-        return f"{d[0]} {_short_descriptor(d[1])}"
-    return str(d)
 
 
 def _canonical_build(

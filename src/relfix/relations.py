@@ -36,31 +36,6 @@ import numpy as np
 from .errors import TypeMismatch
 from .poset import FinPoset, MonotoneMap
 
-__all__ = [
-    "BinRel",
-    "PairTable",
-    "pair_table",
-    "cached_pair_table",
-    "rel_from_pairs",
-    "rel_from_matrix",
-    "bottom_index",
-    "admissible_masks",
-    "admissible_rows",
-    "masks_to_rows",
-    "rows_to_masks",
-    "rows_le",
-    "diagonal",
-    "total_rel",
-    "bottom_rel",
-    "is_admissible",
-    "inverse_image",
-    "direct_image",
-    "intersect",
-    "is_rel_morphism",
-    "rel_morphism_witness",
-    "wide_table_counts",
-]
-
 # Pair masks of at most this many bits (n*n on an n-element carrier) are
 # narrow.  pull loops over the bits of a Python int when both of its masks
 # are narrow, else goes through numpy (unpackbits, gather, packbits): the

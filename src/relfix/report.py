@@ -32,8 +32,6 @@ import numpy as np
 
 from .version import __version__
 
-__all__ = ["to_jsonable", "canonical_json", "spec_sha256", "make_report", "write_report"]
-
 
 def to_jsonable(obj):
     """Recursively reduce a report value to JSON-ready data.

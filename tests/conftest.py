@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from relfix import build_chain, compare_methods
+from relfix.chain import build_chain
+from relfix.engines import compare_methods
 from relfix.suites import canonical_specs
 
 

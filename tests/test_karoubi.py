@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from relfix import karoubi
-from relfix.config import DEFAULT_CAPS, Caps
+from relfix.config import DEFAULT_CAPS
 from relfix.errors import (
     EquivalenceMismatch,
     LawViolation,
@@ -394,13 +394,12 @@ def test_rel_fiber_on_the_two_chain_collapse():
 
 
 def test_rel_fiber_respects_the_pair_cap():
-    from relfix.config import Caps
-
-    p = Idempotent(C3, identity_map(C3))
+    # 2^25 candidate relations on five elements, over the default pair cap
+    c5 = chain_poset(5)
     with pytest.raises(SizeCapExceeded) as err:
-        karoubi_rel_fiber(KaroubiObj(C3, p), Caps(max_elements=100, max_pairs=100))
+        karoubi_rel_fiber(KaroubiObj(c5, Idempotent(c5, identity_map(c5))))
     assert err.value.message == "relation space too large"
-    assert err.value.details == {"carrier": 3, "candidates": 512}
+    assert err.value.details == {"carrier": 5, "candidates": 33_554_432}
 
 
 def per_mask_fiber(a: KaroubiObj) -> dict:
@@ -479,10 +478,9 @@ def test_karoubi_homs_share_one_read_only_table_array():
     with pytest.raises(ValueError):
         tables[0, 0] = 1
     # lru_cache keeps no exception, so the cap is enforced on every call
-    small = Caps(max_elements=100, max_pairs=9)
     for _ in range(2):
         with pytest.raises(SizeCapExceeded):
-            karoubi_homs(a, a, small)
+            monotone_tables(C3, C3, 9)
 
 
 @pytest.mark.parametrize(
@@ -494,7 +492,7 @@ def test_array_idempotent_order_matches_idem_leq(d, monkeypatch):
     # chain(9) has 256 idempotents, which the array path decides in two blocks
     rechecked = []
     monkeypatch.setattr(karoubi, "idem_leq", lambda p, q: rechecked.append((p, q)))
-    idems, leq = _ed_order.__wrapped__(d, DEFAULT_CAPS)
+    idems, leq = _ed_order.__wrapped__(d)
     assert rechecked == []  # both conditions agree on every pair of idempotents
     assert leq.tolist() == [[idem_leq(p, q) for q in idems] for p in idems]
 
@@ -512,9 +510,9 @@ def test_array_idempotent_order_raises_the_scalar_witness(monkeypatch):
         for p in fakes:
             for q in fakes:
                 idem_leq(p, q)
-    monkeypatch.setattr(karoubi, "enumerate_canonical_idempotents", lambda d, caps: fakes)
+    monkeypatch.setattr(karoubi, "enumerate_canonical_idempotents", lambda d: fakes)
     with pytest.raises(EquivalenceMismatch) as got:
-        _ed_order.__wrapped__(C3, DEFAULT_CAPS)
+        _ed_order.__wrapped__(C3)
     assert got.value.details == want.value.details
 
 
@@ -526,11 +524,11 @@ def test_array_idempotent_order_raises_the_scalar_witness(monkeypatch):
 def test_array_inclusion_monotone_matches_pointwise_leq(d, monkeypatch):
     # the karoubi suite's corpus5 and chain(6..8); the real order passes, and
     # its transpose and the full matrix fail unless E_D has one element
-    idems, leq = _ed_order(d, DEFAULT_CAPS)
+    idems, leq = _ed_order(d)
     for order in (leq, leq.T, np.ones_like(leq)):
         scalar = all(
             idems[i].mor.pointwise_leq(idems[j].mor) for i, j in zip(*np.nonzero(order))
         )
         assert scalar == (order is leq or len(idems) == 1)
-        monkeypatch.setattr(karoubi, "_ed_order", lambda d, caps: (idems, order))
+        monkeypatch.setattr(karoubi, "_ed_order", lambda d: (idems, order))
         assert ed_cpo_check(d)["checks"]["inclusion_monotone"] is scalar

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -410,3 +411,14 @@ def test_to_dot_emits_covering_edges_only():
     assert dot.startswith("digraph")
     assert dot.count("->") == 3  # chain of 4 has 3 covering edges
     assert dot.count("label") == 4
+
+
+def test_to_dot_labels_each_node_with_its_id():
+    # equal posets with different descriptors: lift's cache may hand either
+    # one's elems to a later construction, so labels must not read elems
+    c2, up = chain_poset(2), lift(one())
+    assert c2 == up and c2.elems != up.elems
+    assert c2.to_dot() == up.to_dot()
+    d = chain_poset(4)
+    labels = re.findall(r'^  (\d+) \[label="(.*)"\];$', d.to_dot(), re.M)
+    assert labels == [(str(i), str(i)) for i in range(d.n)]
